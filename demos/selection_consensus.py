@@ -7,13 +7,9 @@ outer consensus that defines the presumed-clean set.
 
 import argparse
 
-from jocot.selection import (
-    SelectionSet,
-    inner_consensus,
-    outer_consensus,
-    remember_rate,
-    small_loss_select,
-)
+import numpy as np
+
+from jocot.selection import consensus, remember_rate, small_loss_select
 
 
 def main() -> None:
@@ -27,23 +23,22 @@ def main() -> None:
         rate = remember_rate(epoch, args.gradual, args.tau)
         print(f"  epoch {epoch:>2}: keep {rate:.2f} of each batch")
 
-    losses = [(10, 0.9), (11, 0.1), (12, 0.1), (13, 2.0), (14, 0.4)]
-    kept = small_loss_select(losses, 0.6)
-    print(f"\nbatch losses {losses}")
-    print(f"keep 60% -> global indices {kept.indices} "
+    batch = np.array([10, 11, 12, 13, 14])
+    losses = np.array([0.9, 0.1, 0.1, 2.0, 0.4])
+    kept = batch[small_loss_select(losses, 0.6, batch)]
+    print(f"\nbatch {batch.tolist()} with losses {losses.tolist()}")
+    print(f"keep 60% -> global indices {kept.tolist()} "
           "(ties break toward the smaller index)")
 
     # four selections for one batch: two per teacher module
-    p1 = SelectionSet((10, 11, 12, 14), "batch")
-    p2 = SelectionSet((11, 12, 13, 14), "batch")
-    q1 = SelectionSet((10, 11, 12), "batch")
-    q2 = SelectionSet((11, 12, 14), "batch")
-    i_p = inner_consensus(p1, p2)
-    i_q = inner_consensus(q1, q2)
-    i_con = outer_consensus(i_p, i_q)
-    print(f"\nmodule F selections {p1.indices} & {p2.indices} -> {i_p.indices}")
-    print(f"module G selections {q1.indices} & {q2.indices} -> {i_q.indices}")
-    print(f"consensus across modules -> {i_con.indices}")
+    p1, p2 = np.array([10, 11, 12, 14]), np.array([11, 12, 13, 14])
+    q1, q2 = np.array([10, 11, 12]), np.array([11, 12, 14])
+    i_p = consensus((p1, p2))
+    i_q = consensus((q1, q2))
+    i_con = consensus((p1, p2), (q1, q2))
+    print(f"\nmodule F selections {p1.tolist()} & {p2.tolist()} -> {i_p.tolist()}")
+    print(f"module G selections {q1.tolist()} & {q2.tolist()} -> {i_q.tolist()}")
+    print(f"consensus across modules -> {i_con.tolist()}")
 
 
 if __name__ == "__main__":

@@ -31,15 +31,10 @@ from .experiment import (
 )
 from .losses import (
     PROB_FLOOR,
-    PeerPredictions,
     ce_batch,
-    coteaching_pair_loss,
     jocor_batch,
-    jocor_per_sample_loss,
     make_ce_loss_fn,
     make_joint_loss_fn,
-    per_sample_ce,
-    symmetric_kl,
     symmetric_kl_batch,
 )
 from .network import (
@@ -65,9 +60,8 @@ from .noise import (
 )
 from .selection import (
     SelectionSet,
-    inner_consensus,
+    consensus,
     load_selection,
-    outer_consensus,
     remember_rate,
     save_selection,
     small_loss_select,
@@ -79,13 +73,11 @@ from .training import (
     StudentResult,
     TeacherState,
     TeachersResult,
-    coteaching_epoch,
-    coteachingplus_epoch,
     evaluate,
     init_teacher_state,
-    jocor_epoch,
     load_checkpoint,
     make_batches,
+    pair_epoch,
     save_checkpoint,
     train_module,
     train_student,

@@ -28,8 +28,7 @@ from .data import (
     synthesize,
 )
 from .network import TrainConfig
-from .noise import NOISE_KINDS, build_noise_matrix, inject_noise, noisy_label_precision
-from .selection import SelectionSet
+from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     EpochMetrics,
     evaluate,
@@ -84,6 +83,10 @@ class ExperimentConfig:
         unknown = set(self.train_overrides) - valid
         if unknown:
             raise ValueError(f"unknown train settings: {sorted(unknown)}")
+        # train_config sets these per cell from the grid's seeds and rates
+        for key in ("seed", "noise_rate_tau"):
+            if key in self.train_overrides:
+                raise ValueError(f"train setting {key!r} is set per cell by the grid")
 
     def train_config(self, rate: float, seed: int) -> TrainConfig:
         kwargs = dict(self.train_overrides)
@@ -230,8 +233,12 @@ def load_config(path) -> ExperimentConfig:
         if "out" in section:
             kwargs["out_dir"] = section["out"].strip()
     if parser.has_section("train"):
+        # configparser lowercases option names: map them back onto the
+        # TrainConfig fields (num_gradual_T); unknown keys reach validation
+        field_names = {f.name.lower(): f.name for f in fields(TrainConfig)}
         overrides = {}
         for key, value in parser["train"].items():
+            key = field_names.get(key, key)
             if key == "hidden_dims":
                 overrides[key] = _parse_tuple(value)
             else:
@@ -260,10 +267,10 @@ def _noise_seed(seed: int, rate: float) -> np.random.SeedSequence:
                                                    int(round(rate * 10_000))))
 
 
-def _vacuous_precision(mask) -> Optional[float]:
+def _final_precision(metrics: List[EpochMetrics], mask) -> float:
     # a cell with no corrupted labels has nothing to find; define the
     # metric as perfect so summaries stay in [0, 1]
-    return 1.0 if mask.num_flipped == 0 else None
+    return 1.0 if mask.num_flipped == 0 else metrics[-1].noisy_label_precision
 
 
 def run_cell(method: str, noise_kind: str, rate: float, seed: int,
@@ -278,32 +285,28 @@ def run_cell(method: str, noise_kind: str, rate: float, seed: int,
         noisy_train = LabeledDataset(train_set.features, mask.noisy_labels,
                                      train_set.num_classes, train_set.class_names)
         if method == "jocot":
-            teachers = train_teachers(train_cfg, noisy_train, val_set,
+            teachers = train_teachers(train_cfg, noisy_train,
                                       test_set=test_set, noise_mask=mask)
             student = train_student(noisy_train.subset(teachers.final_selection.indices),
                                     val_set, train_cfg, test_set=test_set)
             cell.teacher_metrics = teachers.metrics
             cell.student_metrics = student.metrics
             cell.test_acc = evaluate(student.params, test_set)
-            final_precision = teachers.metrics[-1].noisy_label_precision
-            cell.noisy_precision = (final_precision if final_precision is not None
-                                    else _vacuous_precision(mask))
+            cell.noisy_precision = _final_precision(teachers.metrics, mask)
             cell.clean_set_size = len(teachers.final_selection)
         elif method == "ce_baseline":
             student = train_student(noisy_train, val_set, train_cfg, test_set=test_set)
             cell.student_metrics = student.metrics
             cell.test_acc = evaluate(student.params, test_set)
-            cell.noisy_precision = (_vacuous_precision(mask)
-                                    if mask.num_flipped == 0 else 0.0)
+            # the baseline judges no sample noisy
+            cell.noisy_precision = 1.0 if mask.num_flipped == 0 else 0.0
             cell.clean_set_size = len(noisy_train)
         else:
             module = train_module(train_cfg, method, noisy_train,
                                   test_set=test_set, noise_mask=mask)
             cell.teacher_metrics = module.metrics
             cell.test_acc = module.metrics[-1].test_accuracy
-            final_precision = module.metrics[-1].noisy_label_precision
-            cell.noisy_precision = (final_precision if final_precision is not None
-                                    else _vacuous_precision(mask))
+            cell.noisy_precision = _final_precision(module.metrics, mask)
             cell.clean_set_size = len(module.final_selection)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         cell.error = f"{type(exc).__name__}: {exc}"

@@ -1,38 +1,18 @@
 """Per-sample losses: cross-entropy, symmetric KL, and the joint objective.
 
-Scalar operations mirror the per-sample definitions; the *_batch variants
-vectorize them over (n, M) probability matrices and are what the training
-loops call. The make_*_loss_fn closures adapt each loss to the callback
-signature of network.gradient, returning per-sample losses together with
-their derivatives w.r.t. the probabilities.
+Each *_batch function evaluates its loss row by row over (n, M) probability
+matrices; a single sample is a one-row batch. The make_*_loss_fn closures
+adapt each loss to the callback signature of network.gradient, returning
+per-sample losses together with their derivatives w.r.t. the probabilities.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 # clamp applied before every log; keeps saturated softmax outputs finite
 # while staying far below any test tolerance
 PROB_FLOOR = 1e-12
-
-
-@dataclass
-class PeerPredictions:
-    """One sample's class-probability vectors from two peer networks."""
-
-    probs_net1: np.ndarray
-    probs_net2: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.probs_net1 = np.asarray(self.probs_net1, dtype=np.float64)
-        self.probs_net2 = np.asarray(self.probs_net2, dtype=np.float64)
-        if self.probs_net1.shape != self.probs_net2.shape or self.probs_net1.ndim != 1:
-            raise ValueError("peer predictions must be 1-d vectors of equal length")
-        for name, p in (("probs_net1", self.probs_net1), ("probs_net2", self.probs_net2)):
-            if abs(float(p.sum()) - 1.0) > 1e-9:
-                raise ValueError(f"{name} does not sum to 1 within 1e-9")
 
 
 def _floor(probs: np.ndarray) -> np.ndarray:
@@ -57,15 +37,6 @@ def ce_batch(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(picked)
 
 
-def per_sample_ce(probs: np.ndarray, label: int) -> float:
-    return float(ce_batch(np.asarray(probs, dtype=np.float64)[None, :], [label])[0])
-
-
-def coteaching_pair_loss(pp: PeerPredictions, label: int) -> tuple[float, float]:
-    """Cross-entropy of each peer; the pair sums to the combined supervised loss."""
-    return per_sample_ce(pp.probs_net1, label), per_sample_ce(pp.probs_net2, label)
-
-
 def symmetric_kl_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise D_KL(p||q) + D_KL(q||p), both arguments floored before logs."""
     p = np.asarray(p, dtype=np.float64)
@@ -79,26 +50,13 @@ def symmetric_kl_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.ndim != 1 or q.ndim != 1:
-        raise ValueError("symmetric_kl expects 1-d probability vectors")
-    return float(symmetric_kl_batch(p[None, :], q[None, :])[0])
-
-
 def jocor_batch(probs1: np.ndarray, probs2: np.ndarray, labels: np.ndarray,
                 lambda_weight: float) -> np.ndarray:
-    """(1-lambda)*(ce1 + ce2) + lambda*symmetric_kl, per sample."""
+    """(1-lambda)*(ce1 + ce2) + lambda*(symmetric KL), per sample."""
     if not 0.0 <= lambda_weight <= 1.0:
         raise ValueError(f"lambda_weight {lambda_weight} outside [0, 1]")
     ce = ce_batch(probs1, labels) + ce_batch(probs2, labels)
     return (1.0 - lambda_weight) * ce + lambda_weight * symmetric_kl_batch(probs1, probs2)
-
-
-def jocor_per_sample_loss(pp: PeerPredictions, label: int, lambda_weight: float) -> float:
-    return float(jocor_batch(pp.probs_net1[None, :], pp.probs_net2[None, :],
-                             [label], lambda_weight)[0])
 
 
 def _ce_prob_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -112,7 +70,7 @@ def _ce_prob_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_kl_prob_grad(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """d(symmetric_kl)/dp with q held constant; zero where the floor clamps p."""
+    """d(symmetric KL)/dp with q held constant; zero where the floor clamps p."""
     pf, qf = _floor(p), _floor(q)
     grad = np.log(pf) - np.log(qf) + 1.0 - qf / pf
     grad[p <= PROB_FLOOR] = 0.0

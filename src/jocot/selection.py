@@ -2,16 +2,20 @@
 
 Three mechanisms: the remember-rate schedule that decides how large a
 fraction of each batch is presumed clean, small-loss selection that picks
-that fraction, and the two-level consensus intersections that combine the
-four peer networks' selections into one trusted index set.
+that fraction, and the two-level consensus intersection that combines the
+four peer networks' selections into one trusted index set. Per-batch
+selections are numpy index arrays; SelectionSet holds the epoch-level and
+final results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
-from typing import Iterable, Sequence
+
+import numpy as np
 
 SCOPES = ("batch", "epoch", "final")
 
@@ -34,20 +38,8 @@ class SelectionSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __contains__(self, index) -> bool:
-        return int(index) in set(self.indices)
-
     def as_set(self) -> set:
         return set(self.indices)
-
-    def intersection(self, other: "SelectionSet") -> "SelectionSet":
-        if self.scope != other.scope:
-            raise ValueError(f"scope mismatch: {self.scope} vs {other.scope}")
-        return SelectionSet(tuple(self.as_set() & other.as_set()), self.scope)
-
-    def union(self, other: "SelectionSet", scope: str = None) -> "SelectionSet":
-        return SelectionSet(tuple(self.as_set() | other.as_set()),
-                            scope if scope is not None else self.scope)
 
 
 def remember_rate(epoch: int, num_gradual_T: int, tau: float) -> float:
@@ -60,37 +52,38 @@ def remember_rate(epoch: int, num_gradual_T: int, tau: float) -> float:
     return 1.0 - min(epoch * tau / num_gradual_T, tau)
 
 
-def small_loss_select(per_sample_losses, keep_fraction: float,
-                      scope: str = "batch") -> SelectionSet:
-    """Indices of the ceil(keep_fraction * n) smallest losses, at least 1.
+def small_loss_select(losses, keep_fraction: float, keys) -> np.ndarray:
+    """Positions of the ceil(keep_fraction * n) smallest losses, at least 1,
+    in ascending key order.
 
-    ``per_sample_losses`` is an iterable of (global_index, loss). Ties are
-    broken toward the smaller global index, which also makes the result
-    the lexicographically smallest minimum-sum subset of its size.
+    ``losses`` is any sequence of per-sample losses and ``keys`` holds one
+    distinct tie-breaker per sample (its dataset-global index). Ties are
+    broken toward the smaller key, which also makes the picked keys the
+    lexicographically smallest minimum-sum subset of its size.
     """
-    pairs = [(int(i), float(l)) for i, l in per_sample_losses]
-    if not pairs:
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.size == 0:
         raise ValueError("empty loss list")
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction {keep_fraction} outside (0, 1]")
-    if any(not math.isfinite(l) for _, l in pairs):
+    if not np.isfinite(losses).all():
         raise ValueError("non-finite loss values")
-    n = len(pairs)
     # tiny slack so binary round-up (e.g. 0.75*4 -> 3.0000000000000004)
     # cannot inflate the ceiling
-    k = max(1, math.ceil(keep_fraction * n - 1e-12))
-    ranked = sorted(pairs, key=lambda p: (p[1], p[0]))
-    return SelectionSet(tuple(i for i, _ in ranked[:k]), scope)
+    k = max(1, math.ceil(keep_fraction * losses.size - 1e-12))
+    picked = np.lexsort((keys, losses))[:k]
+    return picked[np.argsort(np.asarray(keys)[picked])]
 
 
-def inner_consensus(a: SelectionSet, b: SelectionSet) -> SelectionSet:
-    """Intersection of the two selections inside one teacher module."""
-    return a.intersection(b)
+def consensus(*pairs) -> np.ndarray:
+    """Sorted indices that every peer of every pair selected.
 
-
-def outer_consensus(i_p: SelectionSet, i_q: SelectionSet) -> SelectionSet:
-    """Intersection across the two teacher modules' inner consensuses."""
-    return i_p.intersection(i_q)
+    Each pair is one teacher module's two duplicate-free index arrays: their
+    intersection is the module's inner consensus, and the intersection
+    across modules is the outer consensus.
+    """
+    inner = [np.intersect1d(a, b, assume_unique=True) for a, b in pairs]
+    return reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), inner)
 
 
 def save_selection(selection: SelectionSet, path) -> None:

@@ -1,19 +1,20 @@
 """Training paradigms and the two-teachers-one-student orchestration.
 
-Four per-epoch procedures share the same skeleton (forward both peers,
-rank per-sample losses, keep the presumed-clean fraction, Adam-update):
+pair_epoch trains one co-trained pair for an epoch (forward both peers,
+rank per-sample losses, keep the presumed-clean fraction, Adam-update);
+the pair's module_kind picks the step:
 
-- coteaching_epoch: each peer updates on the OTHER peer's selection.
-- jocor_epoch: both peers update on their own selection under the joint
+- coteaching: each peer updates on the OTHER peer's selection.
+- jocor: both peers update on their own selection under the joint
   (1-lambda)*supervised + lambda*contrastive objective; no cross-update.
-- coteachingplus_epoch: cross-update restricted to samples where the
-  peers' argmax predictions disagree.
-- train_student: plain cross-entropy on a trusted subset, checkpointed
-  by validation accuracy.
+- coteachingplus: cross-update restricted to samples where the peers'
+  argmax predictions disagree.
 
 train_teachers runs the joint-loss pair and the cross-update pair over a
 shared batch schedule and intersects their per-batch selections into the
-consensus clean set that feeds the student.
+consensus clean set that feeds the student; train_module runs one pair
+through the same epoch loop. train_student fits plain cross-entropy on a
+trusted subset, checkpointed by validation accuracy.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .data import LabeledDataset
-from .losses import (
-    ce_batch,
-    jocor_batch,
-    make_ce_loss_fn,
-    make_joint_loss_fn,
-    symmetric_kl_batch,
-)
+from .losses import ce_batch, make_ce_loss_fn, make_joint_loss_fn, symmetric_kl_batch
 from .network import (
     ModelParams,
     OptimizerState,
@@ -45,7 +40,7 @@ from .network import (
     lr_at,
 )
 from .noise import NoiseMask, noisy_label_precision
-from .selection import SelectionSet, inner_consensus, outer_consensus, remember_rate, small_loss_select
+from .selection import SelectionSet, consensus, remember_rate, small_loss_select
 
 MODULE_KINDS = ("coteaching", "jocor", "coteachingplus")
 
@@ -74,12 +69,13 @@ class PeerNet:
 
 @dataclass
 class TeacherState:
-    """A co-trained pair of peer networks and its last epoch's selections."""
+    """A co-trained pair of peer networks and its last epoch's selections:
+    per batch, each peer's picks as ascending dataset-global indices."""
 
     module_kind: str
     net1: PeerNet
     net2: PeerNet
-    epoch_selections: List[Tuple[SelectionSet, SelectionSet]] = field(default_factory=list)
+    epoch_selections: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     mean_selected_loss: Optional[float] = None
 
     def __post_init__(self):
@@ -159,57 +155,26 @@ def evaluate(params: ModelParams, dataset: LabeledDataset) -> float:
     return float((preds == dataset.labels).mean())
 
 
-def _update(net: PeerNet, features, labels_or_fn, lr: float) -> PeerNet:
-    loss_fn = labels_or_fn if callable(labels_or_fn) else make_ce_loss_fn(labels_or_fn)
+def _update(net: PeerNet, features, loss_fn, lr: float) -> PeerNet:
     grads = gradient(net.params, features, loss_fn)
     params, opt = adam_step(net.params, net.opt, grads, lr)
     return PeerNet(params, opt)
 
 
-def coteaching_epoch(state: TeacherState, noisy_train: LabeledDataset,
-                     keep_fraction: float, lr: float, batches) -> TeacherState:
-    """Cross-update epoch: net1 trains on net2's small-loss picks and vice versa."""
-    if state.module_kind != "coteaching":
-        raise ValueError(f"expected a coteaching state, got {state.module_kind}")
-    net1, net2 = state.net1, state.net2
-    selections = []
-    batch_losses = []
-    for idx in batches:
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size == 0:
-            warnings.warn("skipping empty batch", stacklevel=2)
-            continue
-        x = noisy_train.features[idx]
-        y = noisy_train.labels[idx]
-        losses1 = ce_batch(forward(net1.params, x), y)
-        losses2 = ce_batch(forward(net2.params, x), y)
-        sel1 = small_loss_select(zip(idx, losses1), keep_fraction)
-        sel2 = small_loss_select(zip(idx, losses2), keep_fraction)
-        pos = {int(g): i for i, g in enumerate(idx)}
-        # cross-update: each peer learns from the other's selection
-        idx2 = np.fromiter(sel2.indices, dtype=np.intp)
-        idx1 = np.fromiter(sel1.indices, dtype=np.intp)
-        batch_losses.append(0.5 * (losses1[[pos[g] for g in sel2.indices]].mean()
-                                   + losses2[[pos[g] for g in sel1.indices]].mean()))
-        net1 = _update(net1, noisy_train.features[idx2], noisy_train.labels[idx2], lr)
-        net2 = _update(net2, noisy_train.features[idx1], noisy_train.labels[idx1], lr)
-        selections.append((sel1, sel2))
-    msl = float(np.mean(batch_losses)) if batch_losses else None
-    return TeacherState("coteaching", net1, net2, selections, msl)
+def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
+               keep_fraction: float, lr: float, batches, *,
+               lambda_weight: float = TrainConfig.lambda_weight,
+               shared_ranking: bool = False) -> TeacherState:
+    """One epoch of a co-trained pair; the step follows state.module_kind.
 
-
-def jocor_epoch(state: TeacherState, noisy_train: LabeledDataset,
-                keep_fraction: float, lr: float, lambda_weight: float,
-                batches, shared_ranking: bool = False) -> TeacherState:
-    """Joint-loss epoch: no cross-update; both peers step on the full joint
-    objective over their own selection.
-
-    Ranking is per network ((1-lambda)*own CE + lambda*contrastive) unless
-    shared_ranking, which ranks the combined joint loss so both selections
-    coincide.
+    coteaching(plus) ranks each peer's CE; the plus variant ranks only where
+    the peers' argmax predictions differ (whole batch when they fully agree).
+    jocor ranks per network ((1-lambda)*own CE + lambda*contrastive), or the
+    combined joint loss under shared_ranking so both selections coincide.
     """
-    if state.module_kind != "jocor":
-        raise ValueError(f"expected a jocor state, got {state.module_kind}")
+    kind = state.module_kind
+    if kind not in MODULE_KINDS:
+        raise ValueError(f"module_kind must be one of {MODULE_KINDS}, got {kind!r}")
     net1, net2 = state.net1, state.net2
     selections = []
     batch_losses = []
@@ -222,115 +187,113 @@ def jocor_epoch(state: TeacherState, noisy_train: LabeledDataset,
         y = noisy_train.labels[idx]
         probs1 = forward(net1.params, x)
         probs2 = forward(net2.params, x)
-        contrastive = symmetric_kl_batch(probs1, probs2)
         ce1 = ce_batch(probs1, y)
         ce2 = ce_batch(probs2, y)
-        if shared_ranking:
+        if kind == "jocor":
+            contrastive = symmetric_kl_batch(probs1, probs2)
             joint = (1.0 - lambda_weight) * (ce1 + ce2) + lambda_weight * contrastive
-            rank1 = rank2 = joint
+            if shared_ranking:
+                rank1 = rank2 = joint
+            else:
+                rank1 = (1.0 - lambda_weight) * ce1 + lambda_weight * contrastive
+                rank2 = (1.0 - lambda_weight) * ce2 + lambda_weight * contrastive
+            score1 = score2 = joint
         else:
-            rank1 = (1.0 - lambda_weight) * ce1 + lambda_weight * contrastive
-            rank2 = (1.0 - lambda_weight) * ce2 + lambda_weight * contrastive
-        sel1 = small_loss_select(zip(idx, rank1), keep_fraction)
-        sel2 = small_loss_select(zip(idx, rank2), keep_fraction)
-        pos = {int(g): i for i, g in enumerate(idx)}
-        pos1 = [pos[g] for g in sel1.indices]
-        pos2 = [pos[g] for g in sel2.indices]
-        joint_all = (1.0 - lambda_weight) * (ce1 + ce2) + lambda_weight * contrastive
-        batch_losses.append(0.5 * (joint_all[pos1].mean() + joint_all[pos2].mean()))
-        # both gradients flow from the same pre-update prediction pair
-        net1 = _update(net1, x[pos1],
-                       make_joint_loss_fn(probs2[pos1], y[pos1], lambda_weight), lr)
-        net2 = _update(net2, x[pos2],
-                       make_joint_loss_fn(probs1[pos2], y[pos2], lambda_weight), lr)
-        selections.append((sel1, sel2))
+            rank1, rank2 = score1, score2 = ce1, ce2
+        active = np.arange(idx.size)
+        if kind == "coteachingplus":
+            disagree = probs1.argmax(axis=1) != probs2.argmax(axis=1)
+            if disagree.any():
+                active = np.flatnonzero(disagree)
+        # positions in ascending global-index order, the row order every
+        # gradient and loss mean sees
+        keys = idx[active]
+        pos1 = active[small_loss_select(rank1[active], keep_fraction, keys)]
+        pos2 = active[small_loss_select(rank2[active], keep_fraction, keys)]
+        # jocor: each peer learns from its own selection; otherwise from the other's
+        upd1, upd2 = (pos1, pos2) if kind == "jocor" else (pos2, pos1)
+        batch_losses.append(0.5 * (score1[upd1].mean() + score2[upd2].mean()))
+        if kind == "jocor":
+            # both gradients flow from the same pre-update prediction pair
+            loss1 = make_joint_loss_fn(probs2[upd1], y[upd1], lambda_weight)
+            loss2 = make_joint_loss_fn(probs1[upd2], y[upd2], lambda_weight)
+        else:
+            loss1, loss2 = make_ce_loss_fn(y[upd1]), make_ce_loss_fn(y[upd2])
+        net1 = _update(net1, x[upd1], loss1, lr)
+        net2 = _update(net2, x[upd2], loss2, lr)
+        selections.append((idx[pos1], idx[pos2]))
     msl = float(np.mean(batch_losses)) if batch_losses else None
-    return TeacherState("jocor", net1, net2, selections, msl)
+    return TeacherState(kind, net1, net2, selections, msl)
 
 
-def coteachingplus_epoch(state: TeacherState, noisy_train: LabeledDataset,
-                         keep_fraction: float, lr: float, batches) -> TeacherState:
-    """Disagreement-gated cross-update: the co-teaching step runs inside the
-    subset where the peers' argmax predictions differ (whole batch when they
-    fully agree)."""
-    net1, net2 = state.net1, state.net2
-    selections = []
-    batch_losses = []
-    for idx in batches:
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size == 0:
-            warnings.warn("skipping empty batch", stacklevel=2)
-            continue
-        x = noisy_train.features[idx]
-        y = noisy_train.labels[idx]
-        probs1 = forward(net1.params, x)
-        probs2 = forward(net2.params, x)
-        disagree = probs1.argmax(axis=1) != probs2.argmax(axis=1)
-        active = np.flatnonzero(disagree) if disagree.any() else np.arange(idx.size)
-        sub_idx = idx[active]
-        losses1 = ce_batch(probs1[active], y[active])
-        losses2 = ce_batch(probs2[active], y[active])
-        sel1 = small_loss_select(zip(sub_idx, losses1), keep_fraction)
-        sel2 = small_loss_select(zip(sub_idx, losses2), keep_fraction)
-        pos = {int(g): i for i, g in enumerate(sub_idx)}
-        idx2 = np.fromiter(sel2.indices, dtype=np.intp)
-        idx1 = np.fromiter(sel1.indices, dtype=np.intp)
-        batch_losses.append(0.5 * (losses1[[pos[g] for g in sel2.indices]].mean()
-                                   + losses2[[pos[g] for g in sel1.indices]].mean()))
-        net1 = _update(net1, noisy_train.features[idx2], noisy_train.labels[idx2], lr)
-        net2 = _update(net2, noisy_train.features[idx1], noisy_train.labels[idx1], lr)
-        selections.append((sel1, sel2))
-    msl = float(np.mean(batch_losses)) if batch_losses else None
-    return TeacherState(state.module_kind, net1, net2, selections, msl)
+def _epoch_clean(module_selections, n_total: int, per_epoch: bool) -> np.ndarray:
+    """Boolean clean mask over the n_total samples from the modules'
+    per-batch peer selections.
 
-
-def _epoch_clean_union(selection_pairs, per_epoch: bool,
-                       other_pairs=None) -> SelectionSet:
-    """Combine per-batch peer selections into one epoch-scope clean set.
-
-    With two modules (other_pairs given): per batch, inner consensus within
-    each module then outer consensus across modules, unioned over batches.
-    per_epoch instead unions each module's inner consensus first and
-    intersects once. With one module: union of per-batch inner consensus.
+    Per batch: inner consensus within each module, then outer consensus
+    across modules, unioned over batches. per_epoch instead unions each
+    module's inner consensus first and intersects once.
     """
-    if other_pairs is None:
-        union = set()
-        for s1, s2 in selection_pairs:
-            union |= inner_consensus(s1, s2).as_set()
-        return SelectionSet(tuple(union), "epoch")
-    if len(selection_pairs) != len(other_pairs):
+    if len({len(sels) for sels in module_selections}) != 1:
         raise ValueError("modules saw different batch counts")
     if per_epoch:
-        i_p = set()
-        i_q = set()
-        for (p1, p2), (q1, q2) in zip(selection_pairs, other_pairs):
-            i_p |= inner_consensus(p1, p2).as_set()
-            i_q |= inner_consensus(q1, q2).as_set()
-        return outer_consensus(SelectionSet(tuple(i_p), "epoch"),
-                               SelectionSet(tuple(i_q), "epoch"))
-    union = set()
-    for (p1, p2), (q1, q2) in zip(selection_pairs, other_pairs):
-        i_con = outer_consensus(inner_consensus(p1, p2), inner_consensus(q1, q2))
-        for component in (p1, p2, q1, q2):
-            if not i_con.as_set() <= component.as_set():
-                raise AssertionError("consensus escaped a component selection")
-        union |= i_con.as_set()
-    return SelectionSet(tuple(union), "epoch")
+        return np.logical_and.reduce([_epoch_clean([sels], n_total, False)
+                                      for sels in module_selections])
+    clean = np.zeros(n_total, dtype=bool)
+    for batch_pairs in zip(*module_selections):
+        clean[consensus(*batch_pairs)] = True
+    return clean
 
 
-def _complement_selection(clean: SelectionSet, n_total: int) -> SelectionSet:
-    return SelectionSet(tuple(set(range(n_total)) - clean.as_set()), clean.scope)
+def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
+                shuffle_role: int, test_set: Optional[LabeledDataset],
+                noise_mask: Optional[NoiseMask]):
+    """The epoch loop of train_teachers and train_module: one pair_epoch per
+    (module_kind, rng role) in init_roles over a shared batch schedule, then
+    consensus, evaluation (test accuracy is the peer mean) and metrics.
+    Returns the final states, the metrics and every epoch's clean set."""
+    if len(noisy_train) == 0:
+        raise ValueError("noisy_train is empty")
+    n = len(noisy_train)
+    dims = [noisy_train.feature_dim, *config.hidden_dims, noisy_train.num_classes]
+    states = [init_teacher_state(kind, dims, _role_rng(config.seed, role))
+              for kind, role in init_roles]
+    shuffle_rng = _role_rng(config.seed, shuffle_role)
+    metrics: List[EpochMetrics] = []
+    clean_sets: List[SelectionSet] = []
+    for epoch in range(config.total_epochs):
+        rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
+        lr = lr_at(epoch, config)
+        batches = make_batches(n, config.batch_size, shuffle_rng)
+        states = [pair_epoch(s, noisy_train, rate, lr, batches,
+                             lambda_weight=config.lambda_weight,
+                             shared_ranking=config.jocor_shared_ranking)
+                  for s in states]
+        clean = _epoch_clean([s.epoch_selections for s in states], n,
+                             config.consensus_per_epoch)
+        clean_sets.append(SelectionSet(np.flatnonzero(clean).tolist(), "epoch"))
+        precision = None
+        if noise_mask is not None and noise_mask.num_flipped > 0:
+            judged_noisy = SelectionSet(np.flatnonzero(~clean).tolist(), "epoch")
+            precision = noisy_label_precision(judged_noisy, noise_mask)
+        test_acc = None
+        if test_set is not None:
+            test_acc = float(np.mean([evaluate(net.params, test_set)
+                                      for s in states for net in (s.net1, s.net2)]))
+        msl_parts = [s.mean_selected_loss for s in states
+                     if s.mean_selected_loss is not None]
+        metrics.append(EpochMetrics(
+            epoch=epoch,
+            test_accuracy=test_acc,
+            noisy_label_precision=precision,
+            remember_rate=rate,
+            mean_selected_loss=float(np.mean(msl_parts)) if msl_parts else None,
+            lr=lr,
+        ))
+    return states, metrics, clean_sets
 
 
-def _precision_or_none(clean: SelectionSet, n_total: int,
-                       mask: Optional[NoiseMask]) -> Optional[float]:
-    if mask is None or mask.num_flipped == 0:
-        return None
-    return noisy_label_precision(_complement_selection(clean, n_total), mask)
-
-
-def train_teachers(config: TrainConfig, noisy_train: LabeledDataset,
-                   clean_val: Optional[LabeledDataset] = None, *,
+def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, *,
                    test_set: Optional[LabeledDataset] = None,
                    noise_mask: Optional[NoiseMask] = None) -> TeachersResult:
     """Run both teacher modules over a shared batch schedule and return the
@@ -339,42 +302,10 @@ def train_teachers(config: TrainConfig, noisy_train: LabeledDataset,
     The joint-loss module and the cross-update module each own two peer
     networks; per batch their four selections are intersected (inner, then
     outer) and the final epoch's union becomes the student's training set.
-    clean_val is accepted for interface symmetry; teachers never consult it.
     """
-    if len(noisy_train) == 0:
-        raise ValueError("noisy_train is empty")
-    n = len(noisy_train)
-    dims = [noisy_train.feature_dim, *config.hidden_dims, noisy_train.num_classes]
-    f_state = init_teacher_state("jocor", dims, _role_rng(config.seed, _ROLE_TEACHER_F))
-    g_state = init_teacher_state("coteaching", dims, _role_rng(config.seed, _ROLE_TEACHER_G))
-    shuffle_rng = _role_rng(config.seed, _ROLE_TEACHER_SHUFFLE)
-
-    metrics: List[EpochMetrics] = []
-    epoch_clean_sets: List[SelectionSet] = []
-    for epoch in range(config.total_epochs):
-        rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
-        lr = lr_at(epoch, config)
-        batches = make_batches(n, config.batch_size, shuffle_rng)
-        f_state = jocor_epoch(f_state, noisy_train, rate, lr, config.lambda_weight,
-                              batches, config.jocor_shared_ranking)
-        g_state = coteaching_epoch(g_state, noisy_train, rate, lr, batches)
-        epoch_clean = _epoch_clean_union(f_state.epoch_selections, config.consensus_per_epoch,
-                                         other_pairs=g_state.epoch_selections)
-        epoch_clean_sets.append(epoch_clean)
-        test_acc = None
-        if test_set is not None:
-            nets = [f_state.net1, f_state.net2, g_state.net1, g_state.net2]
-            test_acc = float(np.mean([evaluate(p.params, test_set) for p in nets]))
-        msl_parts = [s.mean_selected_loss for s in (f_state, g_state)
-                     if s.mean_selected_loss is not None]
-        metrics.append(EpochMetrics(
-            epoch=epoch,
-            test_accuracy=test_acc,
-            noisy_label_precision=_precision_or_none(epoch_clean, n, noise_mask),
-            remember_rate=rate,
-            mean_selected_loss=float(np.mean(msl_parts)) if msl_parts else None,
-            lr=lr,
-        ))
+    (f_state, g_state), metrics, epoch_clean_sets = _run_epochs(
+        config, noisy_train, [("jocor", _ROLE_TEACHER_F), ("coteaching", _ROLE_TEACHER_G)],
+        _ROLE_TEACHER_SHUFFLE, test_set, noise_mask)
     final = SelectionSet(epoch_clean_sets[-1].indices, "final")
     if len(final) == 0:
         raise RuntimeError(
@@ -391,42 +322,10 @@ def train_module(config: TrainConfig, module_kind: str, noisy_train: LabeledData
     The pair's claimed-clean set per epoch is the union over batches of the
     two peers' selection intersection; test accuracy is the peer mean.
     """
-    if module_kind not in MODULE_KINDS:
-        raise ValueError(f"module_kind must be one of {MODULE_KINDS}")
-    if len(noisy_train) == 0:
-        raise ValueError("noisy_train is empty")
-    n = len(noisy_train)
-    dims = [noisy_train.feature_dim, *config.hidden_dims, noisy_train.num_classes]
-    state = init_teacher_state(module_kind, dims, _role_rng(config.seed, _ROLE_MODULE_INIT))
-    shuffle_rng = _role_rng(config.seed, _ROLE_MODULE_SHUFFLE)
-
-    metrics: List[EpochMetrics] = []
-    last_clean = None
-    for epoch in range(config.total_epochs):
-        rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
-        lr = lr_at(epoch, config)
-        batches = make_batches(n, config.batch_size, shuffle_rng)
-        if module_kind == "coteaching":
-            state = coteaching_epoch(state, noisy_train, rate, lr, batches)
-        elif module_kind == "jocor":
-            state = jocor_epoch(state, noisy_train, rate, lr, config.lambda_weight,
-                                batches, config.jocor_shared_ranking)
-        else:
-            state = coteachingplus_epoch(state, noisy_train, rate, lr, batches)
-        last_clean = _epoch_clean_union(state.epoch_selections, per_epoch=False)
-        test_acc = None
-        if test_set is not None:
-            test_acc = float(np.mean([evaluate(state.net1.params, test_set),
-                                      evaluate(state.net2.params, test_set)]))
-        metrics.append(EpochMetrics(
-            epoch=epoch,
-            test_accuracy=test_acc,
-            noisy_label_precision=_precision_or_none(last_clean, n, noise_mask),
-            remember_rate=rate,
-            mean_selected_loss=state.mean_selected_loss,
-            lr=lr,
-        ))
-    return ModuleResult(state, metrics, SelectionSet(last_clean.indices, "final"))
+    (state,), metrics, clean_sets = _run_epochs(
+        config, noisy_train, [(module_kind, _ROLE_MODULE_INIT)], _ROLE_MODULE_SHUFFLE,
+        test_set, noise_mask)
+    return ModuleResult(state, metrics, SelectionSet(clean_sets[-1].indices, "final"))
 
 
 def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,

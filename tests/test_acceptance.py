@@ -26,13 +26,7 @@ from jocot.experiment import (
 from jocot.losses import make_ce_loss_fn, make_joint_loss_fn
 from jocot.network import TrainConfig, gradient, init_params
 from jocot.noise import build_noise_matrix, inject_noise
-from jocot.selection import (
-    SelectionSet,
-    inner_consensus,
-    outer_consensus,
-    remember_rate,
-    small_loss_select,
-)
+from jocot.selection import consensus, remember_rate, small_loss_select
 from jocot.training import train_student, train_teachers
 
 from _oracles import fd_gradient, max_guarded_rel_error
@@ -189,11 +183,11 @@ def test_04_selection_oracle():
         else:
             losses = rng.standard_normal(n) ** 2
         keep = float(rng.uniform(0.05, 1.0))
-        selected = small_loss_select(enumerate(losses), keep)
+        selected = tuple(small_loss_select(losses, keep, np.arange(n)))
         k = max(1, math.ceil(keep * n - 1e-12))
         best = min((math.fsum(losses[i] for i in combo), combo)
                    for combo in itertools.combinations(range(n), k))
-        if selected.indices != best[1]:
+        if selected != best[1]:
             mismatches += 1
     _report(4, "selection-oracle",
             mismatches == 0,
@@ -221,23 +215,21 @@ def test_05_consensus_laws():
         g_pairs = teachers.coteaching_state.epoch_selections
         assert len(f_pairs) == len(g_pairs) > 0
         for (p1, p2), (q1, q2) in zip(f_pairs, g_pairs):
-            composed = outer_consensus(inner_consensus(p1, p2),
-                                       inner_consensus(q1, q2)).as_set()
-            direct = p1.as_set() & p2.as_set() & q1.as_set() & q2.as_set()
+            composed = set(consensus((p1, p2), (q1, q2)).tolist())
+            direct = set(p1.tolist()) & set(p2.tolist()) & set(q1.tolist()) & set(q2.tolist())
             compose_ok = compose_ok and composed == direct
             for component in (p1, p2, q1, q2):
-                subset_ok = subset_ok and composed <= component.as_set()
+                subset_ok = subset_ok and composed <= set(component.tolist())
             batches_checked += 1
     rng = np.random.default_rng(23)
     for _ in range(1000):
         quad = []
         for _ in range(4):
             size = int(rng.integers(5, 26))
-            quad.append(SelectionSet(
-                tuple(rng.choice(40, size=size, replace=False)), "batch"))
-        composed = outer_consensus(inner_consensus(quad[0], quad[1]),
-                                   inner_consensus(quad[2], quad[3])).as_set()
-        direct = quad[0].as_set() & quad[1].as_set() & quad[2].as_set() & quad[3].as_set()
+            quad.append(rng.choice(40, size=size, replace=False))
+        composed = set(consensus((quad[0], quad[1]), (quad[2], quad[3])).tolist())
+        direct = (set(quad[0].tolist()) & set(quad[1].tolist())
+                  & set(quad[2].tolist()) & set(quad[3].tolist()))
         compose_ok = compose_ok and composed == direct
     _report(5, "consensus-laws",
             subset_ok and compose_ok,

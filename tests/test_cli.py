@@ -55,6 +55,13 @@ def test_run_end_to_end(tmp_path, capsys):
     assert "ce_baseline" in stdout and "%" in stdout
 
 
+def test_run_rejects_train_seed(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text() + "seed = 3\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
 def test_run_flag_overrides(tmp_path):
     config = write_config(tmp_path)
     override_out = tmp_path / "elsewhere"

@@ -44,6 +44,13 @@ def test_config_validation():
         tiny_config(train_overrides={"warmup": 5})
 
 
+def test_config_rejects_grid_owned_train_settings():
+    # train_config sets both per cell, so an override would be silently lost
+    for key, value in (("seed", 3), ("noise_rate_tau", 0.3)):
+        with pytest.raises(ValueError, match=key):
+            tiny_config(train_overrides={**TINY_TRAIN, key: value})
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("""
@@ -67,6 +74,7 @@ total_epochs = 4
 decay_start_epoch = 3
 hidden_dims = 8, 4
 jocor_shared_ranking = true
+num_gradual_T = 2
 """)
     cfg = load_config(path)
     assert cfg.method == "coteaching"
@@ -79,6 +87,7 @@ jocor_shared_ranking = true
     assert cfg.train_overrides["hidden_dims"] == (8, 4)
     assert cfg.train_overrides["jocor_shared_ranking"] is True
     assert cfg.train_config(0.4, 9).noise_rate_tau == 0.4
+    assert cfg.train_config(0.4, 9).num_gradual_T == 2
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

@@ -6,15 +6,10 @@ import pytest
 
 from jocot.losses import (
     PROB_FLOOR,
-    PeerPredictions,
     ce_batch,
-    coteaching_pair_loss,
     jocor_batch,
-    jocor_per_sample_loss,
     make_ce_loss_fn,
     make_joint_loss_fn,
-    per_sample_ce,
-    symmetric_kl,
     symmetric_kl_batch,
 )
 from jocot.network import forward, gradient, init_params
@@ -27,28 +22,33 @@ def one_hot(label, m):
     return v
 
 
+def row(probs):
+    """One sample as a one-row batch."""
+    return np.asarray(probs, dtype=np.float64)[None, :]
+
+
 def test_ce_one_hot_correct_is_zero():
-    assert per_sample_ce(one_hot(3, 12), 3) == 0.0
+    assert ce_batch(row(one_hot(3, 12)), [3])[0] == 0.0
 
 
 def test_ce_uniform_is_log_m():
     probs = np.full(12, 1 / 12)
-    assert per_sample_ce(probs, 5) == pytest.approx(np.log(12), rel=1e-12)
+    assert ce_batch(row(probs), [5])[0] == pytest.approx(np.log(12), rel=1e-12)
 
 
 def test_ce_half_is_log_two():
-    assert per_sample_ce(np.array([0.5, 0.3, 0.2]), 0) == pytest.approx(np.log(2), rel=1e-12)
+    assert ce_batch(row([0.5, 0.3, 0.2]), [0])[0] == pytest.approx(np.log(2), rel=1e-12)
 
 
 def test_ce_label_out_of_range():
     with pytest.raises(ValueError, match="label"):
-        per_sample_ce(np.full(4, 0.25), 4)
+        ce_batch(row(np.full(4, 0.25)), [4])
     with pytest.raises(ValueError, match="label"):
         ce_batch(np.full((2, 4), 0.25), [0, -1])
 
 
 def test_ce_zero_probability_is_floored():
-    loss = per_sample_ce(np.array([0.0, 1.0]), 0)
+    loss = ce_batch(row([0.0, 1.0]), [0])[0]
     assert loss == pytest.approx(-np.log(PROB_FLOOR))
     assert np.isfinite(loss)
 
@@ -57,35 +57,33 @@ def test_ce_strictly_decreasing_in_true_probability():
     losses = []
     for p_true in [0.1, 0.3, 0.5, 0.7, 0.9]:
         probs = np.array([p_true, (1 - p_true) * 0.6, (1 - p_true) * 0.4])
-        losses.append(per_sample_ce(probs, 0))
+        losses.append(ce_batch(row(probs), [0])[0])
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
 def test_pair_loss_trivial_cases():
     m = 12
     uniform = np.full(m, 1 / m)
-    assert coteaching_pair_loss(PeerPredictions(one_hot(2, m), one_hot(2, m)), 2) == (0.0, 0.0)
-    l1, l2 = coteaching_pair_loss(PeerPredictions(uniform, one_hot(7, m)), 7)
+
+    # each peer's cross-entropy; the pair sums to the combined supervised loss
+    def pair_loss(probs1, probs2, label):
+        return ce_batch(row(probs1), [label])[0], ce_batch(row(probs2), [label])[0]
+
+    assert pair_loss(one_hot(2, m), one_hot(2, m), 2) == (0.0, 0.0)
+    l1, l2 = pair_loss(uniform, one_hot(7, m), 7)
     assert l1 == pytest.approx(np.log(12), rel=1e-12)
     assert l2 == 0.0
-    l1, l2 = coteaching_pair_loss(PeerPredictions(uniform, uniform.copy()), 0)
+    l1, l2 = pair_loss(uniform, uniform.copy(), 0)
     assert l1 + l2 == pytest.approx(2 * np.log(12), rel=1e-12)
-
-
-def test_peer_predictions_validation():
-    with pytest.raises(ValueError, match="sum"):
-        PeerPredictions(np.array([0.5, 0.6]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="equal length"):
-        PeerPredictions(np.array([1.0]), np.array([0.5, 0.5]))
 
 
 def test_symmetric_kl_identical_is_zero():
     p = np.array([0.2, 0.3, 0.5])
-    assert symmetric_kl(p, p.copy()) == 0.0
+    assert symmetric_kl_batch(row(p), row(p.copy()))[0] == 0.0
 
 
 def test_symmetric_kl_closed_form_two_class():
-    val = symmetric_kl(np.array([0.9, 0.1]), np.array([0.1, 0.9]))
+    val = symmetric_kl_batch(row([0.9, 0.1]), row([0.1, 0.9]))[0]
     assert val == pytest.approx(1.6 * np.log(9.0), rel=1e-12)
 
 
@@ -95,7 +93,7 @@ def test_symmetric_kl_matches_scalar_oracle():
         p = rng.dirichlet(np.ones(12))
         q = rng.dirichlet(np.ones(12))
         expected = scalar_kl(p, q) + scalar_kl(q, p)
-        assert symmetric_kl(p, q) == pytest.approx(expected, rel=1e-10)
+        assert symmetric_kl_batch(row(p), row(q))[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_symmetric_kl_exact_symmetry():
@@ -103,12 +101,13 @@ def test_symmetric_kl_exact_symmetry():
     for _ in range(50):
         p = rng.dirichlet(np.ones(6))
         q = rng.dirichlet(np.ones(6))
-        assert symmetric_kl(p, q) == symmetric_kl(q, p)  # bitwise
+        pq = symmetric_kl_batch(row(p), row(q))[0]
+        assert pq == symmetric_kl_batch(row(q), row(p))[0]  # bitwise
 
 
 def test_symmetric_kl_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        symmetric_kl(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
+        symmetric_kl_batch(row([0.5, 0.5]), row([0.3, 0.3, 0.4]))
 
 
 def test_symmetric_kl_nonnegative():
@@ -120,22 +119,21 @@ def test_symmetric_kl_nonnegative():
 
 def test_jocor_lambda_zero_reduces_to_pair_sum():
     rng = np.random.default_rng(1)
-    pp = PeerPredictions(rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5)))
-    l1, l2 = coteaching_pair_loss(pp, 3)
-    assert jocor_per_sample_loss(pp, 3, 0.0) == pytest.approx(l1 + l2, rel=1e-12)
+    p1, p2 = row(rng.dirichlet(np.ones(5))), row(rng.dirichlet(np.ones(5)))
+    l1, l2 = ce_batch(p1, [3])[0], ce_batch(p2, [3])[0]
+    assert jocor_batch(p1, p2, [3], 0.0)[0] == pytest.approx(l1 + l2, rel=1e-12)
 
 
 def test_jocor_lambda_one_identical_predictions_is_zero():
-    p = np.array([0.1, 0.2, 0.7])
-    pp = PeerPredictions(p, p.copy())
+    p = row([0.1, 0.2, 0.7])
     for label in range(3):
-        assert jocor_per_sample_loss(pp, label, 1.0) == 0.0
+        assert jocor_batch(p, p.copy(), [label], 1.0)[0] == 0.0
 
 
 def test_jocor_one_hot_correct_identical_zero_for_any_lambda():
-    pp = PeerPredictions(one_hot(1, 4), one_hot(1, 4))
+    p = row(one_hot(1, 4))
     for lam in [0.0, 0.3, 0.85, 1.0]:
-        assert jocor_per_sample_loss(pp, 1, lam) == 0.0
+        assert jocor_batch(p, p.copy(), [1], lam)[0] == 0.0
 
 
 def test_jocor_affine_in_lambda():

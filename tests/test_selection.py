@@ -3,17 +3,26 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jocot.selection import (
     SelectionSet,
-    inner_consensus,
+    consensus,
     load_selection,
-    outer_consensus,
     remember_rate,
     save_selection,
     small_loss_select,
 )
+
+
+def select_keys(pairs, keep_fraction):
+    """Run small_loss_select on (key, loss) pairs; the picked keys in order."""
+    keys = [int(i) for i, _ in pairs]
+    positions = small_loss_select([l for _, l in pairs], keep_fraction, keys)
+    return tuple(keys[p] for p in positions)
 
 
 def min_sum_subset(pairs, k):
@@ -66,73 +75,72 @@ def test_remember_rate_validation():
 
 
 def test_small_loss_select_basic():
-    sel = small_loss_select([(0, 0.1), (1, 5.0), (2, 0.2), (3, 3.0)], 0.5)
-    assert sel.indices == (0, 2)
+    sel = select_keys([(0, 0.1), (1, 5.0), (2, 0.2), (3, 3.0)], 0.5)
+    assert sel == (0, 2)
 
 
 def test_small_loss_select_keep_all():
-    sel = small_loss_select([(4, 1.0), (7, 2.0), (9, 0.5)], 1.0)
-    assert sel.indices == (4, 7, 9)
+    sel = select_keys([(4, 1.0), (7, 2.0), (9, 0.5)], 1.0)
+    assert sel == (4, 7, 9)
 
 
 def test_small_loss_select_at_least_one():
-    sel = small_loss_select([(3, 9.0), (8, 1.0)], 0.01)
-    assert sel.indices == (8,)
+    sel = select_keys([(3, 9.0), (8, 1.0)], 0.01)
+    assert sel == (8,)
 
 
 def test_small_loss_select_size_rule():
-    import numpy as np
     rng = np.random.default_rng(0)
     for n in [1, 3, 7, 10, 128]:
         losses = list(enumerate(rng.random(n)))
         for kf in [0.05, 0.25, 0.5, 0.6, 0.75, 1.0]:
-            got = len(small_loss_select(losses, kf))
+            got = len(select_keys(losses, kf))
             assert got == max(1, math.ceil(kf * n - 1e-12))
 
 
 def test_small_loss_select_threshold_property():
-    import numpy as np
     rng = np.random.default_rng(1)
     losses = list(enumerate(rng.random(30)))
-    sel = small_loss_select(losses, 0.4)
-    inside = {i: l for i, l in losses if i in sel.as_set()}
-    outside = {i: l for i, l in losses if i not in sel.as_set()}
+    sel = set(select_keys(losses, 0.4))
+    inside = {i: l for i, l in losses if i in sel}
+    outside = {i: l for i, l in losses if i not in sel}
     assert max(inside.values()) <= min(outside.values())
 
 
 def test_small_loss_select_tie_break_smaller_index():
-    sel = small_loss_select([(5, 0.5), (2, 0.5), (9, 0.5), (1, 0.5)], 0.5)
-    assert sel.indices == (1, 2)
+    sel = select_keys([(5, 0.5), (2, 0.5), (9, 0.5), (1, 0.5)], 0.5)
+    assert sel == (1, 2)
 
 
 def test_small_loss_select_matches_subset_oracle():
-    import numpy as np
     rng = np.random.default_rng(2)
     for _ in range(30):
         n = int(rng.integers(1, 11))
         indices = rng.choice(1000, size=n, replace=False)
         pairs = [(int(i), float(l)) for i, l in zip(indices, rng.random(n))]
         kf = float(rng.uniform(0.05, 1.0))
-        sel = small_loss_select(pairs, kf)
-        assert sel.as_set() == min_sum_subset(pairs, len(sel))
+        sel = select_keys(pairs, kf)
+        assert set(sel) == min_sum_subset(pairs, len(sel))
 
 
 def test_small_loss_select_errors():
     with pytest.raises(ValueError, match="empty"):
-        small_loss_select([], 0.5)
+        small_loss_select([], 0.5, [])
     with pytest.raises(ValueError, match="keep_fraction"):
-        small_loss_select([(0, 1.0)], 0.0)
+        small_loss_select([1.0], 0.0, [0])
     with pytest.raises(ValueError, match="keep_fraction"):
-        small_loss_select([(0, 1.0)], 1.2)
+        small_loss_select([1.0], 1.2, [0])
     with pytest.raises(ValueError, match="finite"):
-        small_loss_select([(0, float("nan"))], 0.5)
+        small_loss_select([float("nan")], 0.5, [0])
+    with pytest.raises(ValueError, match="shape"):
+        small_loss_select([1.0, 2.0], 0.5, [0])
 
 
 def test_selection_set_normalizes_and_validates():
     s = SelectionSet((3, 1, 2), "batch")
     assert s.indices == (1, 2, 3)
     assert len(s) == 3
-    assert 2 in s and 9 not in s
+    assert 2 in s.as_set() and 9 not in s.as_set()
     with pytest.raises(ValueError, match="duplicate"):
         SelectionSet((1, 1, 2))
     with pytest.raises(ValueError, match="scope"):
@@ -140,45 +148,35 @@ def test_selection_set_normalizes_and_validates():
 
 
 def test_inner_consensus_examples():
-    a = SelectionSet((1, 2, 3))
-    b = SelectionSet((2, 3, 4))
-    assert inner_consensus(a, b).indices == (2, 3)
-    assert inner_consensus(a, a).indices == a.indices
-    assert inner_consensus(a, SelectionSet((7, 8))).indices == ()
-
-
-def test_consensus_scope_mismatch():
-    with pytest.raises(ValueError, match="scope"):
-        inner_consensus(SelectionSet((1,), "batch"), SelectionSet((1,), "epoch"))
+    a = np.array([1, 2, 3])
+    b = np.array([2, 3, 4])
+    assert tuple(consensus((a, b))) == (2, 3)
+    assert tuple(consensus((a, a))) == (1, 2, 3)
+    assert tuple(consensus((a, np.array([7, 8])))) == ()
 
 
 def test_outer_consensus_composition_example():
-    p1, p2 = SelectionSet((1, 2, 3)), SelectionSet((2, 3))
-    q1, q2 = SelectionSet((2, 3, 4)), SelectionSet((2, 4))
-    i_p = inner_consensus(p1, p2)
-    i_q = inner_consensus(q1, q2)
-    assert i_p.indices == (2, 3)
-    assert i_q.indices == (2, 4)
-    assert outer_consensus(i_p, i_q).indices == (2,)
+    p1, p2 = np.array([1, 2, 3]), np.array([2, 3])
+    q1, q2 = np.array([2, 3, 4]), np.array([2, 4])
+    assert tuple(consensus((p1, p2))) == (2, 3)
+    assert tuple(consensus((q1, q2))) == (2, 4)
+    assert tuple(consensus((p1, p2), (q1, q2))) == (2,)
 
 
 def test_outer_consensus_all_equal():
-    s = SelectionSet((5, 6))
-    assert outer_consensus(inner_consensus(s, s), inner_consensus(s, s)).indices == (5, 6)
+    s = np.array([5, 6])
+    assert tuple(consensus((s, s), (s, s))) == (5, 6)
 
 
 def test_consensus_equals_four_way_intersection_random():
-    import numpy as np
     rng = np.random.default_rng(3)
     for _ in range(100):
-        sets = [SelectionSet(tuple(rng.choice(30, size=rng.integers(0, 20), replace=False)))
-                for _ in range(4)]
-        composed = outer_consensus(inner_consensus(sets[0], sets[1]),
-                                   inner_consensus(sets[2], sets[3]))
-        direct = sets[0].as_set() & sets[1].as_set() & sets[2].as_set() & sets[3].as_set()
-        assert composed.as_set() == direct
+        sets = [rng.choice(30, size=rng.integers(0, 20), replace=False) for _ in range(4)]
+        composed = set(consensus((sets[0], sets[1]), (sets[2], sets[3])).tolist())
+        direct = set(sets[0]) & set(sets[1]) & set(sets[2]) & set(sets[3])
+        assert composed == direct
         for s in sets:
-            assert composed.as_set() <= s.as_set()
+            assert composed <= set(s)
 
 
 def test_selection_csv_round_trip(tmp_path):
@@ -195,3 +193,52 @@ def test_selection_csv_rejects_garbage(tmp_path):
     path.write_text("1\ntwo\n")
     with pytest.raises(ValueError, match="non-integer"):
         load_selection(path)
+
+
+# property tests: the oracle is a plain sort of (loss, key) pairs
+
+def _sorted_oracle(losses, keys, k):
+    ranked = sorted(range(len(losses)), key=lambda i: (losses[i], keys[i]))[:k]
+    return sorted(ranked, key=lambda i: keys[i])
+
+
+_losses = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                   min_size=1, max_size=40)
+_tied_losses = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1, max_size=40)
+_fractions = st.floats(min_value=1e-3, max_value=1.0)
+
+
+def _distinct_keys(n):
+    return st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True)
+
+
+@given(st.data(), _losses, _fractions)
+def test_small_loss_select_matches_sorted_oracle(data, losses, keep):
+    keys = data.draw(_distinct_keys(len(losses)))
+    got = small_loss_select(losses, keep, keys)
+    k = max(1, math.ceil(keep * len(losses) - 1e-12))
+    assert len(got) == k
+    assert got.tolist() == _sorted_oracle(losses, keys, k)
+
+
+@given(st.data(), _tied_losses, _fractions)
+def test_small_loss_select_ties_go_to_smaller_key(data, losses, keep):
+    # -log(1.0) is -0.0, so exact zeros of both signs meet in real batches;
+    # they form one tie group broken by key
+    keys = data.draw(_distinct_keys(len(losses)))
+    got = small_loss_select(losses, keep, keys)
+    k = max(1, math.ceil(keep * len(losses) - 1e-12))
+    assert got.tolist() == _sorted_oracle(losses, keys, k)
+    zero_keys = sorted(keys[i] for i, loss in enumerate(losses) if loss == 0.0)
+    assert set(zero_keys[:k]) <= {keys[i] for i in got}
+
+
+@given(st.data(), _tied_losses, _fractions)
+def test_small_loss_select_keys_invariant_under_permutation(data, losses, keep):
+    keys = data.draw(_distinct_keys(len(losses)))
+    order = data.draw(st.permutations(range(len(losses))))
+    before = [keys[i] for i in small_loss_select(losses, keep, keys)]
+    shuffled_keys = [keys[i] for i in order]
+    after = [shuffled_keys[i]
+             for i in small_loss_select([losses[i] for i in order], keep, shuffled_keys)]
+    assert before == after

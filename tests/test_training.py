@@ -18,18 +18,16 @@ from jocot.network import (
     init_params,
 )
 from jocot.noise import build_noise_matrix, inject_noise
-from jocot.selection import SelectionSet
+from jocot.selection import small_loss_select
 from jocot.training import (
     EpochMetrics,
     PeerNet,
     TeacherState,
-    coteaching_epoch,
-    coteachingplus_epoch,
     evaluate,
     init_teacher_state,
-    jocor_epoch,
     load_checkpoint,
     make_batches,
+    pair_epoch,
     save_checkpoint,
     train_module,
     train_student,
@@ -101,7 +99,7 @@ def make_state(kind, net_factory=planted_net):
 def test_coteaching_planted_sample_excluded():
     ds = planted_dataset(n=8, flip_at=3)
     state = make_state("coteaching")
-    out = coteaching_epoch(state, ds, 7 / 8, 1e-4, [np.arange(8)])
+    out = pair_epoch(state, ds, 7 / 8, 1e-4, [np.arange(8)])
     sel1, sel2 = out.epoch_selections[0]
     assert 3 not in sel1 and 3 not in sel2
     assert len(sel1) == 7 and len(sel2) == 7
@@ -109,9 +107,9 @@ def test_coteaching_planted_sample_excluded():
 
 def test_coteaching_keep_all_selects_whole_batch():
     ds = planted_dataset()
-    out = coteaching_epoch(make_state("coteaching"), ds, 1.0, 1e-4, [np.arange(8)])
+    out = pair_epoch(make_state("coteaching"), ds, 1.0, 1e-4, [np.arange(8)])
     sel1, sel2 = out.epoch_selections[0]
-    assert sel1.indices == tuple(range(8)) and sel2.indices == tuple(range(8))
+    assert tuple(sel1) == tuple(range(8)) and tuple(sel2) == tuple(range(8))
 
 
 def test_coteaching_cross_update_wiring_exact():
@@ -123,7 +121,7 @@ def test_coteaching_cross_update_wiring_exact():
     state.net1.opt = adam_init(state.net1.params)
     state.net2.opt = adam_init(state.net2.params)
     batches = [np.arange(0, 6), np.arange(6, 12)]
-    out = coteaching_epoch(state, ds, 0.5, 1e-3, batches)
+    out = pair_epoch(state, ds, 0.5, 1e-3, batches)
 
     p1, o1 = state.net1.params, state.net1.opt
     p2, o2 = state.net2.params, state.net2.opt
@@ -144,14 +142,18 @@ def test_coteaching_cross_update_wiring_exact():
 
 
 def test_coteaching_kind_check():
+    # the kind picks the step, so a kind changed after construction must not
+    # silently fall back to some default step
+    state = make_state("coteaching")
+    state.module_kind = "coteaching-v2"
     with pytest.raises(ValueError, match="coteaching"):
-        coteaching_epoch(make_state("jocor"), planted_dataset(), 1.0, 1e-4, [np.arange(8)])
+        pair_epoch(state, planted_dataset(), 1.0, 1e-4, [np.arange(8)])
 
 
 def test_jocor_planted_sample_excluded():
     ds = planted_dataset(n=8, flip_at=3)
     state = make_state("jocor")
-    out = jocor_epoch(state, ds, 7 / 8, 1e-4, 0.85, [np.arange(8)])
+    out = pair_epoch(state, ds, 7 / 8, 1e-4, [np.arange(8)], lambda_weight=0.85)
     sel1, sel2 = out.epoch_selections[0]
     assert 3 not in sel1 and 3 not in sel2
 
@@ -163,13 +165,12 @@ def test_jocor_lambda_zero_matches_ce_ranking():
     state.net1.opt = adam_init(state.net1.params)
     state.net2.opt = adam_init(state.net2.params)
     idx = np.arange(10)
-    out = jocor_epoch(state, ds, 0.4, 1e-4, 0.0, [idx])
+    out = pair_epoch(state, ds, 0.4, 1e-4, [idx], lambda_weight=0.0)
     sel1, sel2 = out.epoch_selections[0]
-    from jocot.selection import small_loss_select
     l1 = ce_batch(forward(state.net1.params, ds.features), ds.labels)
     l2 = ce_batch(forward(state.net2.params, ds.features), ds.labels)
-    assert sel1 == small_loss_select(zip(idx, l1), 0.4)
-    assert sel2 == small_loss_select(zip(idx, l2), 0.4)
+    npt.assert_array_equal(sel1, idx[small_loss_select(l1, 0.4, idx)])
+    npt.assert_array_equal(sel2, idx[small_loss_select(l2, 0.4, idx)])
 
 
 def test_jocor_identical_nets_stay_identical():
@@ -180,9 +181,10 @@ def test_jocor_identical_nets_stay_identical():
     state = TeacherState("jocor", net_a, net_b)
     rng = np.random.default_rng(8)
     ds = LabeledDataset(rng.normal(size=(16, 3)), rng.integers(0, 2, 16), 2)
-    out = jocor_epoch(state, ds, 0.75, 1e-3, 0.85, [np.arange(8), np.arange(8, 16)])
+    out = pair_epoch(state, ds, 0.75, 1e-3, [np.arange(8), np.arange(8, 16)],
+                     lambda_weight=0.85)
     for s1, s2 in out.epoch_selections:
-        assert s1 == s2
+        npt.assert_array_equal(s1, s2)
     for a, b in zip(out.net1.params.weights + out.net1.params.biases,
                     out.net2.params.weights + out.net2.params.biases):
         npt.assert_array_equal(a, b)
@@ -194,17 +196,18 @@ def test_jocor_shared_ranking_flag():
     state.net2.opt = adam_init(state.net2.params)
     rng = np.random.default_rng(10)
     ds = LabeledDataset(rng.normal(size=(12, 4)), rng.integers(0, 3, 12), 3)
-    out = jocor_epoch(state, ds, 0.5, 1e-4, 0.85, [np.arange(12)], shared_ranking=True)
+    out = pair_epoch(state, ds, 0.5, 1e-4, [np.arange(12)], lambda_weight=0.85,
+                     shared_ranking=True)
     sel1, sel2 = out.epoch_selections[0]
-    assert sel1 == sel2
+    npt.assert_array_equal(sel1, sel2)
 
 
 def test_coteachingplus_full_agreement_falls_back_to_coteaching():
     ds = planted_dataset(n=8, flip_at=3)
-    plus = coteachingplus_epoch(make_state("coteachingplus"), ds, 0.5, 1e-3, [np.arange(8)])
-    plain = coteaching_epoch(make_state("coteaching"), ds, 0.5, 1e-3, [np.arange(8)])
-    assert plus.epoch_selections[0][0] == plain.epoch_selections[0][0]
-    assert plus.epoch_selections[0][1] == plain.epoch_selections[0][1]
+    plus = pair_epoch(make_state("coteachingplus"), ds, 0.5, 1e-3, [np.arange(8)])
+    plain = pair_epoch(make_state("coteaching"), ds, 0.5, 1e-3, [np.arange(8)])
+    npt.assert_array_equal(plus.epoch_selections[0][0], plain.epoch_selections[0][0])
+    npt.assert_array_equal(plus.epoch_selections[0][1], plain.epoch_selections[0][1])
     for a, b in zip(plus.net1.params.weights, plain.net1.params.weights):
         npt.assert_array_equal(a, b)
 
@@ -216,9 +219,9 @@ def test_coteachingplus_singleton_disagreement():
     ds = LabeledDataset(feats, labels, 2)
     state = TeacherState("coteachingplus", planted_net(),
                          planted_net(bias=[0.0, 4.5]))
-    out = coteachingplus_epoch(state, ds, 0.9, 1e-4, [np.arange(7)])
+    out = pair_epoch(state, ds, 0.9, 1e-4, [np.arange(7)])
     sel1, sel2 = out.epoch_selections[0]
-    assert sel1.indices == (6,) and sel2.indices == (6,)
+    assert tuple(sel1) == (6,) and tuple(sel2) == (6,)
 
 
 def test_coteachingplus_disagreement_shrinks_over_training():
@@ -233,7 +236,7 @@ def test_coteachingplus_disagreement_shrinks_over_training():
         fractions = []
         for epoch in range(cfg.total_epochs):
             batches = make_batches(len(ds), cfg.batch_size, shuffle)
-            state = coteachingplus_epoch(state, ds, 1.0, cfg.base_lr, batches)
+            state = pair_epoch(state, ds, 1.0, cfg.base_lr, batches)
             d = (forward(state.net1.params, ds.features).argmax(axis=1)
                  != forward(state.net2.params, ds.features).argmax(axis=1)).mean()
             fractions.append(float(d))
@@ -244,8 +247,8 @@ def test_coteachingplus_disagreement_shrinks_over_training():
 def test_empty_batch_skipped_with_warning():
     ds = planted_dataset()
     with pytest.warns(UserWarning, match="empty batch"):
-        out = coteaching_epoch(make_state("coteaching"), ds, 1.0, 1e-4,
-                               [np.array([], dtype=int), np.arange(8)])
+        out = pair_epoch(make_state("coteaching"), ds, 1.0, 1e-4,
+                         [np.array([], dtype=int), np.arange(8)])
     assert len(out.epoch_selections) == 1
 
 
@@ -274,7 +277,7 @@ def test_train_teachers_consensus_subset_of_components():
     last_clean = result.epoch_clean_sets[-1].as_set()
     per_batch_union = set()
     for (p1, p2), (q1, q2) in zip(f_sels, g_sels):
-        i_con = p1.as_set() & p2.as_set() & q1.as_set() & q2.as_set()
+        i_con = set(p1.tolist()) & set(p2.tolist()) & set(q1.tolist()) & set(q2.tolist())
         per_batch_union |= i_con
     assert last_clean == per_batch_union
 
@@ -315,13 +318,12 @@ def test_train_teachers_empty_consensus_raises(monkeypatch):
     ds = planted_dataset()
 
     def degenerate_epoch(state, *args, **kwargs):
-        evens = SelectionSet((0, 2, 4, 6))
-        odds = SelectionSet((1, 3, 5, 7))
+        evens = np.array([0, 2, 4, 6])
+        odds = np.array([1, 3, 5, 7])
         sels = (evens, evens) if state.module_kind == "jocor" else (odds, odds)
         return TeacherState(state.module_kind, state.net1, state.net2, [sels], 0.0)
 
-    monkeypatch.setattr(training, "jocor_epoch", degenerate_epoch)
-    monkeypatch.setattr(training, "coteaching_epoch", degenerate_epoch)
+    monkeypatch.setattr(training, "pair_epoch", degenerate_epoch)
     with pytest.raises(RuntimeError, match="noise rate"):
         train_teachers(small_cfg(), ds)
 
@@ -338,8 +340,8 @@ def test_train_teachers_consensus_per_epoch_flag():
     result = train_teachers(cfg_a, ds)
     f_sels = result.jocor_state.epoch_selections
     g_sels = result.coteaching_state.epoch_selections
-    i_p = set().union(*[(p1.as_set() & p2.as_set()) for p1, p2 in f_sels])
-    i_q = set().union(*[(q1.as_set() & q2.as_set()) for q1, q2 in g_sels])
+    i_p = set().union(*[(set(p1.tolist()) & set(p2.tolist())) for p1, p2 in f_sels])
+    i_q = set().union(*[(set(q1.tolist()) & set(q2.tolist())) for q1, q2 in g_sels])
     assert result.epoch_clean_sets[-1].as_set() == (i_p & i_q)
 
 
