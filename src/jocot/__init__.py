@@ -38,7 +38,6 @@ from .losses import (
     symmetric_kl_batch,
 )
 from .network import (
-    Gradients,
     ModelParams,
     OptimizerState,
     TrainConfig,

@@ -76,6 +76,13 @@ class ExperimentConfig:
         self.rates = tuple(float(r) for r in self.rates)
         if any(not 0.0 <= r < 1.0 for r in self.rates):
             raise ValueError("every noise rate must lie in [0, 1)")
+        streams = {}
+        for r in self.rates:
+            key = _noise_stream(r)
+            if key in streams:
+                raise ValueError(f"noise rates {streams[key]!r} and {r!r} share one noise "
+                                 f"stream; rates must differ after rounding to 1e-4")
+            streams[key] = r
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
@@ -262,9 +269,12 @@ def _prepare_splits(config: ExperimentConfig):
     return train, test, val
 
 
+def _noise_stream(rate: float) -> int:
+    return int(round(rate * 10_000))
+
+
 def _noise_seed(seed: int, rate: float) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed, spawn_key=(_NOISE_SPAWN_PREFIX,
-                                                   int(round(rate * 10_000))))
+    return np.random.SeedSequence(seed, spawn_key=(_NOISE_SPAWN_PREFIX, _noise_stream(rate)))
 
 
 def _final_precision(metrics: List[EpochMetrics], mask) -> float:

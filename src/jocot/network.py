@@ -9,7 +9,8 @@ out once, through the softmax Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,19 +19,45 @@ import numpy as np
 ProbLossFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass
 class ModelParams:
-    """Weights and biases of one network; weights[i] has shape (fan_in, fan_out)."""
+    """Weights and biases of one network in one contiguous float64 vector.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``flat`` holds the layers in the order w0, b0, w1, b1, ...; ``weights[i]``
+    (shape (fan_in, fan_out)) and ``biases[i]`` are views into it, so an
+    in-place update of ``flat`` updates every layer. The constructor packs
+    the given arrays into a fresh vector.
+    """
+
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        if len(weights) != len(biases) or not weights:
+            raise ValueError("need one bias vector per weight matrix")
+        arrays = [np.asarray(a, dtype=np.float64) for pair in zip(weights, biases) for a in pair]
+        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+
+    @classmethod
+    def from_flat(cls, layer_dims: Sequence[int], flat: np.ndarray) -> "ModelParams":
+        """Views of ``flat`` as a layer_dims network; ValueError if its length does not fit."""
+        dims = _check_dims(layer_dims)
+        shapes = [s for fan_in, fan_out in zip(dims[:-1], dims[1:])
+                  for s in ((fan_in, fan_out), (fan_out,))]
+        params = cls.__new__(cls)
+        params._bind(np.ascontiguousarray(flat, dtype=np.float64), shapes)
+        return params
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        if flat.shape != (ends[-1],):
+            raise ValueError(f"a flat vector of shape {flat.shape} does not fit "
+                             f"layers of shapes {shapes}")
+        views = [flat[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
+        self.flat, self.weights, self.biases = flat, views[0::2], views[1::2]
 
     @property
     def layer_dims(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return ModelParams.from_flat(self.layer_dims, self.flat.copy())
 
     def validate(self) -> None:
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -45,25 +72,18 @@ class ModelParams:
 
 
 @dataclass
-class Gradients:
-    """d(mean batch loss)/d(parameter), shaped exactly like ModelParams."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
-@dataclass
 class OptimizerState:
-    """Adam moment accumulators; shapes mirror the ModelParams they update."""
+    """Adam moment accumulators, laid out like the ModelParams.flat they update."""
 
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+
+    def copy(self) -> "OptimizerState":
+        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
 @dataclass
@@ -91,9 +111,6 @@ class TrainConfig:
     # (selections identical); default ranks per network so the inner
     # consensus is non-trivial.
     jocor_shared_ranking: bool = False
-    # consensus_per_epoch: union each module's inner consensus over the epoch
-    # first, intersect the two modules once per epoch (instead of per batch).
-    consensus_per_epoch: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.total_epochs < 1 or self.num_gradual_T < 1:
@@ -109,11 +126,16 @@ class TrainConfig:
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
 
 
-def init_params(layer_dims: Sequence[int], rng: np.random.Generator) -> ModelParams:
-    """Fresh network: weights uniform in +-sqrt(6/fan_in), biases zero."""
+def _check_dims(layer_dims: Sequence[int]) -> list[int]:
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"layer_dims must be >=2 positive integers, got {dims}")
+    return dims
+
+
+def init_params(layer_dims: Sequence[int], rng: np.random.Generator) -> ModelParams:
+    """Fresh network: weights uniform in +-sqrt(6/fan_in), biases zero."""
+    dims = _check_dims(layer_dims)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / fan_in)
@@ -166,8 +188,8 @@ def _forward_cached(params: ModelParams, features: np.ndarray):
     return probs, layer_inputs, hidden_pre
 
 
-def gradient(params: ModelParams, features: np.ndarray, loss_fn: ProbLossFn) -> Gradients:
-    """Gradient of the mean per-sample loss over the batch.
+def gradient(params: ModelParams, features: np.ndarray, loss_fn: ProbLossFn) -> ModelParams:
+    """Gradient of the mean per-sample loss over the batch, laid out like params.
 
     ``loss_fn`` maps the batch probabilities to per-sample losses and their
     derivatives w.r.t. the probabilities; the softmax Jacobian and the
@@ -184,57 +206,39 @@ def gradient(params: ModelParams, features: np.ndarray, loss_fn: ProbLossFn) -> 
     inner = np.sum(dprobs * probs, axis=1, keepdims=True)
     delta = probs * (dprobs - inner) / n
 
-    d_weights = [np.empty(0)] * len(params.weights)
-    d_biases = [np.empty(0)] * len(params.biases)
+    # per layer (d_weight, d_bias), in ModelParams.flat order
+    parts = [np.empty(0)] * (2 * len(params.weights))
     for layer in range(len(params.weights) - 1, -1, -1):
-        d_weights[layer] = layer_inputs[layer].T @ delta
-        d_biases[layer] = delta.sum(axis=0)
+        parts[2 * layer] = (layer_inputs[layer].T @ delta).ravel()
+        parts[2 * layer + 1] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ params.weights[layer].T) * (hidden_pre[layer - 1] > 0.0)
-    return Gradients(d_weights, d_biases)
+    return ModelParams.from_flat(params.layer_dims, np.concatenate(parts))
 
 
 def adam_init(params: ModelParams, beta1: float = 0.9, beta2: float = 0.999,
               epsilon: float = 1e-8) -> OptimizerState:
-    zeros = lambda arrs: [np.zeros_like(a) for a in arrs]
-    return OptimizerState(
-        m_weights=zeros(params.weights), m_biases=zeros(params.biases),
-        v_weights=zeros(params.weights), v_biases=zeros(params.biases),
-        step_count=0, beta1=beta1, beta2=beta2, epsilon=epsilon,
-    )
+    return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat),
+                          step_count=0, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def adam_step(params: ModelParams, state: OptimizerState, grads: Gradients,
-              lr: float) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    t = state.step_count + 1
+def adam_step(params: ModelParams, state: OptimizerState, grads: ModelParams,
+              lr: float) -> None:
+    """One bias-corrected Adam update of params.flat, state.m and state.v in place."""
+    if grads.layer_dims != params.layer_dims:
+        raise ValueError(f"gradient layer_dims {grads.layer_dims} do not match "
+                         f"parameter layer_dims {params.layer_dims}")
+    state.step_count += 1
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-
-    def update(p, m, v, g):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g * g
-        p_new = p - lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
-        return p_new, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, m, v, g in zip(params.weights, state.m_weights, state.v_weights, grads.weights):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        pn, mn, vn = update(p, m, v, g)
-        new_w.append(pn); new_mw.append(mn); new_vw.append(vn)
-    new_b, new_mb, new_vb = [], [], []
-    for p, m, v, g in zip(params.biases, state.m_biases, state.v_biases, grads.biases):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        pn, mn, vn = update(p, m, v, g)
-        new_b.append(pn); new_mb.append(mn); new_vb.append(vn)
-
-    return (
-        ModelParams(new_w, new_b),
-        OptimizerState(new_mw, new_mb, new_vw, new_vb, t, b1, b2, eps),
-    )
+    c1 = 1.0 - b1 ** state.step_count
+    c2 = 1.0 - b2 ** state.step_count
+    g, m, v = grads.flat, state.m, state.v
+    # the rounding order of b1*m + (1-b1)*g and b2*v + ((1-b2)*g)*g
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:

@@ -155,12 +155,6 @@ def evaluate(params: ModelParams, dataset: LabeledDataset) -> float:
     return float((preds == dataset.labels).mean())
 
 
-def _update(net: PeerNet, features, loss_fn, lr: float) -> PeerNet:
-    grads = gradient(net.params, features, loss_fn)
-    params, opt = adam_step(net.params, net.opt, grads, lr)
-    return PeerNet(params, opt)
-
-
 def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
                keep_fraction: float, lr: float, batches, *,
                lambda_weight: float = TrainConfig.lambda_weight,
@@ -171,11 +165,13 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
     the peers' argmax predictions differ (whole batch when they fully agree).
     jocor ranks per network ((1-lambda)*own CE + lambda*contrastive), or the
     combined joint loss under shared_ranking so both selections coincide.
+    The peers are copied once, so ``state`` itself is left untouched.
     """
     kind = state.module_kind
     if kind not in MODULE_KINDS:
         raise ValueError(f"module_kind must be one of {MODULE_KINDS}, got {kind!r}")
-    net1, net2 = state.net1, state.net2
+    net1, net2 = (PeerNet(net.params.copy(), net.opt.copy())
+                  for net in (state.net1, state.net2))
     selections = []
     batch_losses = []
     for idx in batches:
@@ -219,26 +215,22 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
             loss2 = make_joint_loss_fn(probs1[upd2], y[upd2], lambda_weight)
         else:
             loss1, loss2 = make_ce_loss_fn(y[upd1]), make_ce_loss_fn(y[upd2])
-        net1 = _update(net1, x[upd1], loss1, lr)
-        net2 = _update(net2, x[upd2], loss2, lr)
+        for net, upd, loss_fn in ((net1, upd1, loss1), (net2, upd2, loss2)):
+            adam_step(net.params, net.opt, gradient(net.params, x[upd], loss_fn), lr)
         selections.append((idx[pos1], idx[pos2]))
     msl = float(np.mean(batch_losses)) if batch_losses else None
     return TeacherState(kind, net1, net2, selections, msl)
 
 
-def _epoch_clean(module_selections, n_total: int, per_epoch: bool) -> np.ndarray:
+def _epoch_clean(module_selections, n_total: int) -> np.ndarray:
     """Boolean clean mask over the n_total samples from the modules'
     per-batch peer selections.
 
     Per batch: inner consensus within each module, then outer consensus
-    across modules, unioned over batches. per_epoch instead unions each
-    module's inner consensus first and intersects once.
+    across modules, unioned over batches.
     """
     if len({len(sels) for sels in module_selections}) != 1:
         raise ValueError("modules saw different batch counts")
-    if per_epoch:
-        return np.logical_and.reduce([_epoch_clean([sels], n_total, False)
-                                      for sels in module_selections])
     clean = np.zeros(n_total, dtype=bool)
     for batch_pairs in zip(*module_selections):
         clean[consensus(*batch_pairs)] = True
@@ -269,8 +261,7 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
                              lambda_weight=config.lambda_weight,
                              shared_ranking=config.jocor_shared_ranking)
                   for s in states]
-        clean = _epoch_clean([s.epoch_selections for s in states], n,
-                             config.consensus_per_epoch)
+        clean = _epoch_clean([s.epoch_selections for s in states], n)
         clean_sets.append(SelectionSet(np.flatnonzero(clean).tolist(), "epoch"))
         precision = None
         if noise_mask is not None and noise_mask.num_flipped > 0:
@@ -355,8 +346,7 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
             x = clean_train.features[idx]
             y = clean_train.labels[idx]
             batch_losses.append(float(ce_batch(forward(params, x), y).mean()))
-            grads = gradient(params, x, make_ce_loss_fn(y))
-            params, opt = adam_step(params, opt, grads, lr)
+            adam_step(params, opt, gradient(params, x, make_ce_loss_fn(y)), lr)
         val_acc = evaluate(params, clean_val)
         test_acc = evaluate(params, test_set) if test_set is not None else None
         if val_acc > best_val:
@@ -371,52 +361,47 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
     return StudentResult(best_params, metrics, best_epoch, best_val)
 
 
-CHECKPOINT_VERSION = "jocot-checkpoint-1"
+CHECKPOINT_VERSION = "jocot-checkpoint-2"
 
 
 def save_checkpoint(path, params: ModelParams, opt: Optional[OptimizerState] = None,
                     rng_state: Optional[dict] = None) -> None:
-    """Flat npz with a version header: layer arrays, optional Adam moments,
-    optional JSON-encoded RNG state."""
+    """npz with a version header: layer_dims and the flat parameters,
+    optionally the flat Adam moments and a JSON-encoded RNG state."""
     arrays = {
         "version": np.array(CHECKPOINT_VERSION),
-        "n_layers": np.array(len(params.weights)),
+        "layer_dims": np.array(params.layer_dims),
+        "params": params.flat,
     }
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
     if opt is not None:
         arrays["step_count"] = np.array(opt.step_count)
         arrays["adam_hyper"] = np.array([opt.beta1, opt.beta2, opt.epsilon])
-        for i in range(len(params.weights)):
-            arrays[f"mw{i}"] = opt.m_weights[i]
-            arrays[f"vw{i}"] = opt.v_weights[i]
-            arrays[f"mb{i}"] = opt.m_biases[i]
-            arrays[f"vb{i}"] = opt.v_biases[i]
+        arrays["m"] = opt.m
+        arrays["v"] = opt.v
     if rng_state is not None:
         arrays["rng_state"] = np.array(json.dumps(rng_state))
     np.savez(path, **arrays)
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (params, opt|None, rng_state|None)."""
+    """Inverse of save_checkpoint; returns (params, opt|None, rng_state|None).
+    Raises ValueError on a file this version did not write or whose arrays
+    do not fit together."""
     with np.load(path, allow_pickle=False) as data:
         version = str(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
-        n_layers = int(data["n_layers"])
-        params = ModelParams([data[f"w{i}"] for i in range(n_layers)],
-                             [data[f"b{i}"] for i in range(n_layers)])
+        dims = data["layer_dims"]
+        if dims.ndim != 1 or dims.dtype.kind not in "iu":
+            raise ValueError(f"layer_dims must be a vector of integers, got {dims!r}")
+        params = ModelParams.from_flat(dims.tolist(), data["params"])
+        params.validate()
         opt = None
         if "step_count" in data:
             b1, b2, eps = (float(v) for v in data["adam_hyper"])
-            opt = OptimizerState(
-                m_weights=[data[f"mw{i}"] for i in range(n_layers)],
-                m_biases=[data[f"mb{i}"] for i in range(n_layers)],
-                v_weights=[data[f"vw{i}"] for i in range(n_layers)],
-                v_biases=[data[f"vb{i}"] for i in range(n_layers)],
-                step_count=int(data["step_count"]),
-                beta1=b1, beta2=b2, epsilon=eps,
-            )
+            opt = OptimizerState(data["m"], data["v"], int(data["step_count"]), b1, b2, eps)
+            if opt.m.shape != params.flat.shape or opt.v.shape != params.flat.shape:
+                raise ValueError(f"Adam moments of shapes {opt.m.shape} and {opt.v.shape} "
+                                 f"do not match parameters of shape {params.flat.shape}")
         rng_state = json.loads(str(data["rng_state"])) if "rng_state" in data else None
     return params, opt, rng_state

@@ -62,6 +62,12 @@ def test_run_rejects_train_seed(tmp_path, capsys):
     assert "'seed'" in capsys.readouterr().err
 
 
+def test_run_rejects_rates_sharing_a_noise_stream(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["run", "--config", str(path), "--rates", "0.2,0.20001"]) == 2
+    assert "0.2 and 0.20001" in capsys.readouterr().err
+
+
 def test_run_flag_overrides(tmp_path):
     config = write_config(tmp_path)
     override_out = tmp_path / "elsewhere"

@@ -51,6 +51,15 @@ def test_config_rejects_grid_owned_train_settings():
             tiny_config(train_overrides={**TINY_TRAIN, key: value})
 
 
+def test_config_rejects_rates_sharing_a_noise_stream():
+    # the noise stream is keyed by the rate rounded to 1e-4; an exact
+    # duplicate would also overwrite its twin's epochs_<cell>.csv
+    for rates, pair in (((0.2, 0.20001), "0.2 and 0.20001"), ((0.4, 0.2, 0.4), "0.4 and 0.4")):
+        with pytest.raises(ValueError, match=pair.replace(".", r"\.")):
+            tiny_config(rates=rates)
+    tiny_config(rates=(0.2, 0.2001))
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("""

@@ -112,17 +112,15 @@ def test_adam_first_step_scalar_oracle():
     g = 0.25
     params = ModelParams([np.array([[1.0]])], [np.array([0.5])])
     state = adam_init(params)
-    grads_w = [np.array([[g]])]
-    grads_b = [np.array([g])]
-    from jocot.network import Gradients
-    new_params, new_state = adam_step(params, state, Gradients(grads_w, grads_b), lr=0.01)
+    w0, flat = params.weights[0], params.flat
+    adam_step(params, state, ModelParams([np.array([[g]])], [np.array([g])]), lr=0.01)
     expected = 0.01 * g / (abs(g) + 1e-8)
-    npt.assert_allclose(new_params.weights[0][0, 0], 1.0 - expected, rtol=1e-12)
-    npt.assert_allclose(new_params.biases[0][0], 0.5 - expected, rtol=1e-12)
-    assert new_state.step_count == 1
-    # original inputs untouched (functional update)
-    assert params.weights[0][0, 0] == 1.0
-    assert state.step_count == 0
+    npt.assert_allclose(params.weights[0][0, 0], 1.0 - expected, rtol=1e-12)
+    npt.assert_allclose(params.biases[0][0], 0.5 - expected, rtol=1e-12)
+    assert state.step_count == 1
+    # in-place update: the arrays held before the step hold the new values
+    assert params.flat is flat and params.weights[0] is w0
+    assert w0[0, 0] == flat[0] != 1.0
 
 
 def test_adam_many_steps_match_reference_loop():
@@ -137,11 +135,10 @@ def test_adam_many_steps_match_reference_loop():
     ref_mb = [np.zeros_like(b) for b in ref_b]
     ref_vb = [np.zeros_like(b) for b in ref_b]
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.003
-    from jocot.network import Gradients
     for t in range(1, 8):
         gw = [rng.normal(size=w.shape) for w in ref_w]
         gb = [rng.normal(size=b.shape) for b in ref_b]
-        params, state = adam_step(params, state, Gradients(gw, gb), lr)
+        adam_step(params, state, ModelParams(gw, gb), lr)
         for i in range(len(ref_w)):
             ref_mw[i] = b1 * ref_mw[i] + (1 - b1) * gw[i]
             ref_vw[i] = b2 * ref_vw[i] + (1 - b2) * gw[i] ** 2
@@ -160,9 +157,8 @@ def test_adam_many_steps_match_reference_loop():
 def test_adam_shape_mismatch_raises():
     params, _ = make_net([3, 2], 7)
     state = adam_init(params)
-    from jocot.network import Gradients
-    bad = Gradients([np.zeros((2, 2))], [np.zeros(2)])
-    with pytest.raises(ValueError, match="shape"):
+    bad = ModelParams([np.zeros((2, 2))], [np.zeros(2)])
+    with pytest.raises(ValueError, match="layer_dims"):
         adam_step(params, state, bad, 0.01)
 
 
@@ -199,6 +195,22 @@ def test_train_config_validation():
         TrainConfig(noise_rate_tau=1.0)
     with pytest.raises(ValueError):
         TrainConfig(hidden_dims=(0,))
+
+
+def test_model_params_flat_layout():
+    # one vector in the order w0, b0, w1, b1; the per-layer arrays are views
+    params, _ = make_net([3, 4, 2], 9)
+    w0, b0, w1, b1 = params.weights[0], params.biases[0], params.weights[1], params.biases[1]
+    npt.assert_array_equal(params.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+    params.flat[:] = np.arange(params.flat.size)
+    assert w0[0, 1] == 1 and b0[0] == 12 and w1[0, 0] == 16 and b1[1] == 25
+    copy = params.copy()
+    copy.flat[0] = -1.0
+    assert params.weights[0][0, 0] == 0.0
+    same = ModelParams.from_flat([3, 4, 2], params.flat)
+    assert same.flat is params.flat and same.layer_dims == [3, 4, 2]
+    with pytest.raises(ValueError, match="does not fit"):
+        ModelParams.from_flat([3, 4, 2], params.flat[:-1])
 
 
 def test_model_params_validate():

@@ -123,8 +123,9 @@ def test_coteaching_cross_update_wiring_exact():
     batches = [np.arange(0, 6), np.arange(6, 12)]
     out = pair_epoch(state, ds, 0.5, 1e-3, batches)
 
-    p1, o1 = state.net1.params, state.net1.opt
-    p2, o2 = state.net2.params, state.net2.opt
+    # pair_epoch must have left state untouched: the reference starts from it
+    p1, o1 = state.net1.params.copy(), state.net1.opt.copy()
+    p2, o2 = state.net2.params.copy(), state.net2.opt.copy()
     for idx in batches:
         x, y = ds.features[idx], ds.labels[idx]
         l1 = ce_batch(forward(p1, x), y)
@@ -133,9 +134,9 @@ def test_coteaching_cross_update_wiring_exact():
         sel1 = np.array(sorted(sorted(idx, key=lambda g: (l1[list(idx).index(g)], g))[:k]))
         sel2 = np.array(sorted(sorted(idx, key=lambda g: (l2[list(idx).index(g)], g))[:k]))
         g1 = gradient(p1, ds.features[sel2], make_ce_loss_fn(ds.labels[sel2]))
-        p1, o1 = adam_step(p1, o1, g1, 1e-3)
+        adam_step(p1, o1, g1, 1e-3)
         g2 = gradient(p2, ds.features[sel1], make_ce_loss_fn(ds.labels[sel1]))
-        p2, o2 = adam_step(p2, o2, g2, 1e-3)
+        adam_step(p2, o2, g2, 1e-3)
     for got, want in zip(out.net1.params.weights + out.net2.params.weights,
                          p1.weights + p2.weights):
         npt.assert_array_equal(got, want)
@@ -334,10 +335,11 @@ def test_train_teachers_empty_train_raises():
         train_teachers(small_cfg(), empty)
 
 
-def test_train_teachers_consensus_per_epoch_flag():
+def test_train_teachers_per_batch_consensus_equals_per_epoch():
+    # the batches partition the samples and each selection lies inside its
+    # batch, so the union over batches of (A_b & B_b) is (U A_b) & (U B_b)
     ds = synthesize(3, 20, dim=4, separation=2.0, seed=17)
-    cfg_a = small_cfg(noise_rate_tau=0.4, consensus_per_epoch=True)
-    result = train_teachers(cfg_a, ds)
+    result = train_teachers(small_cfg(noise_rate_tau=0.4), ds)
     f_sels = result.jocor_state.epoch_selections
     g_sels = result.coteaching_state.epoch_selections
     i_p = set().union(*[(set(p1.tolist()) & set(p2.tolist())) for p1, p2 in f_sels])
@@ -415,14 +417,14 @@ def test_checkpoint_round_trip(tmp_path):
     opt = adam_init(params)
     grads = gradient(params, rng.normal(size=(5, 4)),
                      make_ce_loss_fn(rng.integers(0, 3, 5)))
-    params, opt = adam_step(params, opt, grads, 1e-3)
+    adam_step(params, opt, grads, 1e-3)
     rng_state = rng.bit_generator.state
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt, rng_state)
     p2, o2, r2 = load_checkpoint(path)
     for a, b in zip(params.weights + params.biases, p2.weights + p2.biases):
         npt.assert_array_equal(a, b)
-    for a, b in zip(opt.m_weights + opt.v_weights, o2.m_weights + o2.v_weights):
+    for a, b in ((opt.m, o2.m), (opt.v, o2.v)):
         npt.assert_array_equal(a, b)
     assert o2.step_count == 1
     assert r2["state"]["state"] == rng_state["state"]["state"]
@@ -438,11 +440,57 @@ def test_checkpoint_params_only(tmp_path):
 
 
 def test_checkpoint_version_rejected(tmp_path):
+    # includes the per-layer layout that version 1 wrote
     path = tmp_path / "bad.npz"
-    np.savez(path, version=np.array("someone-elses-format"), n_layers=np.array(1),
-             w0=np.zeros((2, 2)), b0=np.zeros(2))
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(path)
+    for version in ("someone-elses-format", "jocot-checkpoint-1"):
+        np.savez(path, version=np.array(version), n_layers=np.array(1),
+                 w0=np.zeros((2, 2)), b0=np.zeros(2))
+        with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+
+def _rewrite_checkpoint(src, dst, **replace_arrays):
+    with np.load(src) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez(dst, **{**arrays, **replace_arrays})
+
+
+@pytest.fixture
+def saved_checkpoint(tmp_path):
+    params = init_params([4, 6, 3], np.random.default_rng(28))
+    path = tmp_path / "good.npz"
+    save_checkpoint(path, params, adam_init(params))
+    return path, params
+
+
+def test_checkpoint_layer_dims_mismatch_rejected(saved_checkpoint, tmp_path):
+    path, params = saved_checkpoint
+    bad = tmp_path / "short.npz"
+    _rewrite_checkpoint(path, bad, params=params.flat[:-1])
+    with pytest.raises(ValueError, match="does not fit"):
+        load_checkpoint(bad)
+    _rewrite_checkpoint(path, bad, layer_dims=np.array([4.5, 6.0, 3.0]))
+    with pytest.raises(ValueError, match="layer_dims"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_moment_shape_rejected(saved_checkpoint, tmp_path):
+    path, params = saved_checkpoint
+    for key in ("m", "v"):
+        bad = tmp_path / f"bad_{key}.npz"
+        _rewrite_checkpoint(path, bad, **{key: np.zeros(params.flat.size + 1)})
+        with pytest.raises(ValueError, match="Adam moments"):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_nonfinite_params_rejected(saved_checkpoint, tmp_path):
+    path, params = saved_checkpoint
+    bad = tmp_path / "nan.npz"
+    flat = params.flat.copy()
+    flat[-1] = np.nan
+    _rewrite_checkpoint(path, bad, params=flat)
+    with pytest.raises(ValueError, match="non-finite"):
+        load_checkpoint(bad)
 
 
 def test_teacher_state_validation():
