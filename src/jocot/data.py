@@ -49,6 +49,8 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "LabeledDataset":
+        if np.asarray(indices).dtype == bool:
+            raise ValueError("subset takes sample indices, not a boolean mask")
         idx = np.asarray(indices, dtype=np.intp)
         return LabeledDataset(self.features[idx].copy(), self.labels[idx].copy(),
                               self.num_classes, self.class_names)
@@ -165,12 +167,13 @@ def rebalance(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
 
 
 def _largest_remainder_counts(n: int, fracs) -> list:
-    exact = [n * f for f in fracs]
+    exact = [round(n * f, 9) for f in fracs]
     counts = [int(np.floor(e)) for e in exact]
     shortfall = n - sum(counts)
     # distribute leftovers to the largest fractional parts, earlier split
-    # winning ties (train, then test, then val)
-    order = sorted(range(len(fracs)), key=lambda i: (-(exact[i] - counts[i]), i))
+    # winning ties (train, then test, then val); rounding to 1e-9 keeps float
+    # error from breaking a tie (5 * 0.12 = 0.6000000000000001 > 5 * 0.72 - 3)
+    order = sorted(range(len(fracs)), key=lambda i: (-round(exact[i] - counts[i], 9), i))
     for i in order[:shortfall]:
         counts[i] += 1
     return counts

@@ -59,6 +59,10 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.layer_dims, self.flat.copy())
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the layer views into the one copied vector
+        return type(self).from_flat, (self.layer_dims, self.flat)
+
     def validate(self) -> None:
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one bias vector per weight matrix")
@@ -107,10 +111,6 @@ class TrainConfig:
     noise_rate_tau: float = 0.0
     seed: int = 0
     hidden_dims: tuple[int, ...] = (256, 128)
-    # jocor_shared_ranking: both peers rank by the same per-sample joint loss
-    # (selections identical); default ranks per network so the inner
-    # consensus is non-trivial.
-    jocor_shared_ranking: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.total_epochs < 1 or self.num_gradual_T < 1:

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .selection import SelectionSet
-
 NOISE_KINDS = ("pairflip", "symmetric")
 
 
@@ -104,15 +102,16 @@ def inject_noise(true_labels, matrix: NoiseMatrix, seed) -> NoiseMask:
     return NoiseMask(true_labels, noisy.astype(np.intp), noisy != true_labels)
 
 
-def noisy_label_precision(judged_noisy: SelectionSet, mask: NoiseMask) -> float:
-    """Fraction of truly corrupted samples contained in judged_noisy."""
-    flipped_indices = set(np.flatnonzero(mask.flipped).tolist())
-    if not flipped_indices:
+def noisy_label_precision(judged_noisy: np.ndarray, mask: NoiseMask) -> float:
+    """Fraction of truly corrupted samples that judged_noisy, a boolean mask
+    over the mask's samples, marks as noisy."""
+    judged_noisy = np.asarray(judged_noisy)
+    if judged_noisy.dtype != bool or judged_noisy.shape != mask.flipped.shape:
+        raise ValueError(f"judged_noisy must be a bool mask of shape {mask.flipped.shape}, "
+                         f"got {judged_noisy.dtype} of shape {judged_noisy.shape}")
+    if mask.num_flipped == 0:
         raise ValueError("undefined metric: mask contains no flipped samples")
-    judged = judged_noisy.as_set()
-    if judged and (min(judged) < 0 or max(judged) >= mask.flipped.shape[0]):
-        raise ValueError("judged indices outside mask range")
-    return len(judged & flipped_indices) / len(flipped_indices)
+    return int(np.count_nonzero(judged_noisy & mask.flipped)) / mask.num_flipped
 
 
 def save_noise_mask(mask: NoiseMask, path) -> None:

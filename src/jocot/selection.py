@@ -4,8 +4,7 @@ Three mechanisms: the remember-rate schedule that decides how large a
 fraction of each batch is presumed clean, small-loss selection that picks
 that fraction, and the two-level consensus intersection that combines the
 four peer networks' selections into one trusted index set. Per-batch
-selections are numpy index arrays; SelectionSet holds the epoch-level and
-final results.
+selections are numpy index arrays; SelectionSet holds the final clean set.
 """
 
 from __future__ import annotations
@@ -17,29 +16,34 @@ from pathlib import Path
 
 import numpy as np
 
-SCOPES = ("batch", "epoch", "final")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionSet:
-    """Sorted, duplicate-free set of dataset-global sample indices."""
+    """Sorted, duplicate-free, non-negative dataset-global sample indices,
+    held as a read-only intp array."""
 
-    indices: tuple
-    scope: str = "batch"
+    indices: np.ndarray
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(set(idx)) != len(idx):
+        idx = np.asarray(self.indices)
+        if idx.ndim != 1 or idx.dtype.kind not in "iuf":  # () arrives as float64
+            raise ValueError(f"selection indices must be an index vector, "
+                             f"got {idx.dtype} of shape {idx.shape}")
+        idx = np.sort(idx.astype(np.intp))
+        if idx.size and idx[0] < 0:
+            raise ValueError(f"negative index {idx[0]} in selection")
+        if (idx[1:] == idx[:-1]).any():
             raise ValueError("duplicate indices in selection")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
-        if self.scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
+        idx.flags.writeable = False
+        object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.indices.size
 
-    def as_set(self) -> set:
-        return set(self.indices)
+    def __eq__(self, other):
+        if not isinstance(other, SelectionSet):
+            return NotImplemented
+        return np.array_equal(self.indices, other.indices)
 
 
 def remember_rate(epoch: int, num_gradual_T: int, tau: float) -> float:
@@ -87,14 +91,14 @@ def consensus(*pairs) -> np.ndarray:
 
 
 def save_selection(selection: SelectionSet, path) -> None:
-    """One index per line; scope is not stored."""
-    Path(path).write_text("".join(f"{i}\n" for i in selection.indices))
+    """One index per line."""
+    Path(path).write_text("".join(f"{i}\n" for i in selection.indices.tolist()))
 
 
-def load_selection(path, scope: str = "final") -> SelectionSet:
+def load_selection(path) -> SelectionSet:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     try:
-        indices = tuple(int(ln) for ln in lines)
+        indices = [int(ln) for ln in lines]
     except ValueError as exc:
         raise ValueError(f"{path}: non-integer selection line ({exc})") from None
-    return SelectionSet(indices, scope)
+    return SelectionSet(indices)

@@ -111,7 +111,7 @@ class TeachersResult:
     metrics: List[EpochMetrics]
     jocor_state: TeacherState
     coteaching_state: TeacherState
-    epoch_clean_sets: List[SelectionSet]
+    epoch_clean_masks: List[np.ndarray]
 
 
 @dataclass
@@ -157,14 +157,12 @@ def evaluate(params: ModelParams, dataset: LabeledDataset) -> float:
 
 def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
                keep_fraction: float, lr: float, batches, *,
-               lambda_weight: float = TrainConfig.lambda_weight,
-               shared_ranking: bool = False) -> TeacherState:
+               lambda_weight: float = TrainConfig.lambda_weight) -> TeacherState:
     """One epoch of a co-trained pair; the step follows state.module_kind.
 
     coteaching(plus) ranks each peer's CE; the plus variant ranks only where
     the peers' argmax predictions differ (whole batch when they fully agree).
-    jocor ranks per network ((1-lambda)*own CE + lambda*contrastive), or the
-    combined joint loss under shared_ranking so both selections coincide.
+    jocor ranks per network ((1-lambda)*own CE + lambda*contrastive).
     The peers are copied once, so ``state`` itself is left untouched.
     """
     kind = state.module_kind
@@ -187,13 +185,9 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
         ce2 = ce_batch(probs2, y)
         if kind == "jocor":
             contrastive = symmetric_kl_batch(probs1, probs2)
-            joint = (1.0 - lambda_weight) * (ce1 + ce2) + lambda_weight * contrastive
-            if shared_ranking:
-                rank1 = rank2 = joint
-            else:
-                rank1 = (1.0 - lambda_weight) * ce1 + lambda_weight * contrastive
-                rank2 = (1.0 - lambda_weight) * ce2 + lambda_weight * contrastive
-            score1 = score2 = joint
+            rank1 = (1.0 - lambda_weight) * ce1 + lambda_weight * contrastive
+            rank2 = (1.0 - lambda_weight) * ce2 + lambda_weight * contrastive
+            score1 = score2 = (1.0 - lambda_weight) * (ce1 + ce2) + lambda_weight * contrastive
         else:
             rank1, rank2 = score1, score2 = ce1, ce2
         active = np.arange(idx.size)
@@ -243,7 +237,7 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     """The epoch loop of train_teachers and train_module: one pair_epoch per
     (module_kind, rng role) in init_roles over a shared batch schedule, then
     consensus, evaluation (test accuracy is the peer mean) and metrics.
-    Returns the final states, the metrics and every epoch's clean set."""
+    Returns the final states, the metrics and every epoch's clean mask."""
     if len(noisy_train) == 0:
         raise ValueError("noisy_train is empty")
     n = len(noisy_train)
@@ -252,21 +246,19 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
               for kind, role in init_roles]
     shuffle_rng = _role_rng(config.seed, shuffle_role)
     metrics: List[EpochMetrics] = []
-    clean_sets: List[SelectionSet] = []
+    clean_masks: List[np.ndarray] = []
     for epoch in range(config.total_epochs):
         rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
         lr = lr_at(epoch, config)
         batches = make_batches(n, config.batch_size, shuffle_rng)
         states = [pair_epoch(s, noisy_train, rate, lr, batches,
-                             lambda_weight=config.lambda_weight,
-                             shared_ranking=config.jocor_shared_ranking)
+                             lambda_weight=config.lambda_weight)
                   for s in states]
         clean = _epoch_clean([s.epoch_selections for s in states], n)
-        clean_sets.append(SelectionSet(np.flatnonzero(clean).tolist(), "epoch"))
+        clean_masks.append(clean)
         precision = None
         if noise_mask is not None and noise_mask.num_flipped > 0:
-            judged_noisy = SelectionSet(np.flatnonzero(~clean).tolist(), "epoch")
-            precision = noisy_label_precision(judged_noisy, noise_mask)
+            precision = noisy_label_precision(~clean, noise_mask)
         test_acc = None
         if test_set is not None:
             test_acc = float(np.mean([evaluate(net.params, test_set)
@@ -281,7 +273,7 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
             mean_selected_loss=float(np.mean(msl_parts)) if msl_parts else None,
             lr=lr,
         ))
-    return states, metrics, clean_sets
+    return states, metrics, clean_masks
 
 
 def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, *,
@@ -294,15 +286,15 @@ def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, *,
     networks; per batch their four selections are intersected (inner, then
     outer) and the final epoch's union becomes the student's training set.
     """
-    (f_state, g_state), metrics, epoch_clean_sets = _run_epochs(
+    (f_state, g_state), metrics, clean_masks = _run_epochs(
         config, noisy_train, [("jocor", _ROLE_TEACHER_F), ("coteaching", _ROLE_TEACHER_G)],
         _ROLE_TEACHER_SHUFFLE, test_set, noise_mask)
-    final = SelectionSet(epoch_clean_sets[-1].indices, "final")
+    final = SelectionSet(np.flatnonzero(clean_masks[-1]))
     if len(final) == 0:
         raise RuntimeError(
             "consensus clean set is empty; lower the noise rate or train "
             "the teachers for more epochs")
-    return TeachersResult(final, metrics, f_state, g_state, epoch_clean_sets)
+    return TeachersResult(final, metrics, f_state, g_state, clean_masks)
 
 
 def train_module(config: TrainConfig, module_kind: str, noisy_train: LabeledDataset, *,
@@ -313,10 +305,10 @@ def train_module(config: TrainConfig, module_kind: str, noisy_train: LabeledData
     The pair's claimed-clean set per epoch is the union over batches of the
     two peers' selection intersection; test accuracy is the peer mean.
     """
-    (state,), metrics, clean_sets = _run_epochs(
+    (state,), metrics, clean_masks = _run_epochs(
         config, noisy_train, [(module_kind, _ROLE_MODULE_INIT)], _ROLE_MODULE_SHUFFLE,
         test_set, noise_mask)
-    return ModuleResult(state, metrics, SelectionSet(clean_sets[-1].indices, "final"))
+    return ModuleResult(state, metrics, SelectionSet(np.flatnonzero(clean_masks[-1])))
 
 
 def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,

@@ -1,8 +1,12 @@
 """Data pipeline: CSV schema, rebalancing, splitting, synthetic clusters."""
 
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jocot.data import (
     LabeledDataset,
@@ -161,6 +165,42 @@ def test_split_partition_exact():
     assert len(tags[0] | tags[1] | tags[2]) == len(ds)
     assert not (tags[0] & tags[1]) and not (tags[0] & tags[2]) and not (tags[1] & tags[2])
     assert len(train) + len(test) + len(val) == len(ds)
+
+
+def largest_remainder_oracle(n, percents):
+    """Exact largest-remainder counts for integer percentages; equal
+    remainders go to the earlier split (train, then test, then val)."""
+    shares = [Fraction(n * p, 100) for p in percents]
+    counts = [int(x) for x in shares]
+    order = sorted(range(3), key=lambda i: (counts[i] - shares[i], i))
+    for i in order[:n - sum(counts)]:
+        counts[i] += 1
+    return counts
+
+
+@given(st.lists(st.integers(0, 3), min_size=3, max_size=60),
+       st.integers(1, 97), st.integers(1, 97), st.integers(0, 2**16))
+# remainders 0.8, 0.6, 0.6: the tie goes to test although 5 * 0.12 rounds up
+@example(labels=[0] * 5, train_pct=16, test_pct=72, seed=0)
+def test_split_partitions_with_largest_remainder_counts(labels, train_pct, test_pct, seed):
+    if train_pct + test_pct > 99:
+        test_pct = 99 - train_pct
+    percents = (train_pct, test_pct, 100 - train_pct - test_pct)
+    n = len(labels)
+    ds = LabeledDataset(np.arange(n, dtype=float)[:, None], labels, 4)  # row tags
+    parts = split(ds, SplitSpec(*(p / 100 for p in percents), seed=seed))
+    tags = np.concatenate([part.features[:, 0] for part in parts])
+    npt.assert_array_equal(np.sort(tags), np.arange(n))
+    for c in range(4):
+        got = [int(part.class_counts()[c]) for part in parts]
+        assert got == largest_remainder_oracle(labels.count(c), percents)
+
+
+def test_subset_rejects_boolean_mask():
+    ds = LabeledDataset(np.eye(3), [0, 1, 2], 3)
+    with pytest.raises(ValueError, match="boolean mask"):
+        ds.subset(np.array([True, False, True]))
+    npt.assert_array_equal(ds.subset(np.flatnonzero([True, False, True])).labels, [0, 2])
 
 
 def test_split_deterministic():

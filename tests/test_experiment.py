@@ -82,7 +82,6 @@ seeds = 1, 2
 total_epochs = 4
 decay_start_epoch = 3
 hidden_dims = 8, 4
-jocor_shared_ranking = true
 num_gradual_T = 2
 """)
     cfg = load_config(path)
@@ -94,7 +93,6 @@ num_gradual_T = 2
     assert cfg.split_seed == 2
     assert cfg.synthetic == SyntheticSpec(3, 30, 4, 3.0, 7)
     assert cfg.train_overrides["hidden_dims"] == (8, 4)
-    assert cfg.train_overrides["jocor_shared_ranking"] is True
     assert cfg.train_config(0.4, 9).noise_rate_tau == 0.4
     assert cfg.train_config(0.4, 9).num_gradual_T == 2
 

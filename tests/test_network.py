@@ -1,5 +1,8 @@
 """Network forward/backward/optimizer checks against independent oracles."""
 
+import copy
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -211,6 +214,21 @@ def test_model_params_flat_layout():
     assert same.flat is params.flat and same.layer_dims == [3, 4, 2]
     with pytest.raises(ValueError, match="does not fit"):
         ModelParams.from_flat([3, 4, 2], params.flat[:-1])
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["deepcopy", "pickle"])
+def test_model_params_copies_keep_views_into_flat(clone):
+    params, rng = make_net([3, 4, 2], 10)
+    x = rng.normal(size=(5, 3))
+    before = forward(params, x)
+    q = clone(params)
+    assert q.layer_dims == [3, 4, 2] and not np.shares_memory(q.flat, params.flat)
+    assert all(np.shares_memory(q.flat, a) for a in q.weights + q.biases)
+    npt.assert_array_equal(forward(q, x), before)
+    q.flat += 1.0  # an in-place update must reach forward through the views
+    assert not np.array_equal(forward(q, x), before)
+    npt.assert_array_equal(forward(params, x), before)
 
 
 def test_model_params_validate():

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jocot.noise import (
     NoiseMask,
@@ -12,7 +14,6 @@ from jocot.noise import (
     noisy_label_precision,
     save_noise_mask,
 )
-from jocot.selection import SelectionSet
 
 
 def test_pairflip_matrix_m3():
@@ -119,36 +120,49 @@ def make_mask(true_l, noisy_l):
     return NoiseMask(true_l, noisy_l, true_l != noisy_l)
 
 
+def judged(n, *indices):
+    """Boolean mask over n samples marking the given indices as judged noisy."""
+    out = np.zeros(n, dtype=bool)
+    out[list(indices)] = True
+    return out
+
+
 def test_precision_exact_match_is_one():
     mask = make_mask([0, 1, 2, 3], [0, 2, 2, 0])  # flipped: {1, 3}
-    assert noisy_label_precision(SelectionSet((1, 3)), mask) == 1.0
+    assert noisy_label_precision(judged(4, 1, 3), mask) == 1.0
 
 
 def test_precision_empty_judged_is_zero():
     mask = make_mask([0, 1], [1, 1])
-    assert noisy_label_precision(SelectionSet(()), mask) == 0.0
+    assert noisy_label_precision(judged(2), mask) == 0.0
 
 
 def test_precision_half():
     mask = make_mask([0, 0, 0, 0], [1, 1, 1, 1])
-    assert noisy_label_precision(SelectionSet((0, 2)), mask) == 0.5
+    assert noisy_label_precision(judged(4, 0, 2), mask) == 0.5
 
 
 def test_precision_false_alarms_do_not_help():
     mask = make_mask([0, 1, 2, 3], [0, 2, 2, 0])  # flipped: {1, 3}
-    assert noisy_label_precision(SelectionSet((0, 1, 2)), mask) == 0.5
+    assert noisy_label_precision(judged(4, 0, 1, 2), mask) == 0.5
 
 
 def test_precision_undefined_without_flips():
     mask = make_mask([0, 1], [0, 1])
     with pytest.raises(ValueError, match="undefined"):
-        noisy_label_precision(SelectionSet((0,)), mask)
+        noisy_label_precision(judged(2, 0), mask)
 
 
 def test_precision_judged_out_of_range():
     mask = make_mask([0, 1], [1, 1])
-    with pytest.raises(ValueError, match="range"):
-        noisy_label_precision(SelectionSet((5,)), mask)
+    with pytest.raises(ValueError, match="shape"):
+        noisy_label_precision(judged(6, 5), mask)
+
+
+def test_precision_rejects_index_arrays():
+    mask = make_mask([0, 1], [1, 1])
+    with pytest.raises(ValueError, match="bool"):
+        noisy_label_precision(np.array([0, 1]), mask)
 
 
 def test_mask_invariant_enforced():
@@ -179,3 +193,34 @@ def test_mask_csv_rejects_short_row(tmp_path):
     path.write_text("index,true_label,noisy_label,flipped\n0,0,0\n")
     with pytest.raises(ValueError, match=":2"):
         load_noise_mask(path)
+
+
+# property tests: the oracles are Python sets and plain label comparisons
+
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60))
+def test_precision_matches_set_oracle(rows):
+    flipped = np.array([f for f, _ in rows])
+    judged_mask = np.array([j for _, j in rows])
+    mask = make_mask(np.zeros(len(rows), dtype=int), flipped.astype(int))
+    flipped_set = {i for i, (f, _) in enumerate(rows) if f}
+    judged_set = {i for i, (_, j) in enumerate(rows) if j}
+    if not flipped_set:
+        with pytest.raises(ValueError, match="undefined"):
+            noisy_label_precision(judged_mask, mask)
+    else:
+        assert (noisy_label_precision(judged_mask, mask)
+                == len(judged_set & flipped_set) / len(flipped_set))
+
+
+@given(st.integers(2, 6), st.lists(st.integers(0, 5), max_size=80),
+       st.sampled_from(["pairflip", "symmetric"]),
+       st.floats(min_value=0.0, max_value=0.95), st.integers(0, 2**16))
+def test_inject_flags_changed_labels_and_pairflip_goes_to_next_class(
+        num_classes, labels, kind, rate, seed):
+    labels = [label % num_classes for label in labels]
+    mask = inject_noise(labels, build_noise_matrix(kind, rate, num_classes), seed=seed)
+    noisy = mask.noisy_labels.tolist()
+    assert mask.flipped.tolist() == [a != b for a, b in zip(labels, noisy)]
+    assert all(0 <= b < num_classes for b in noisy)
+    if kind == "pairflip":
+        assert all(b == (a + 1) % num_classes for a, b in zip(labels, noisy) if a != b)

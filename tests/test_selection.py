@@ -137,14 +137,24 @@ def test_small_loss_select_errors():
 
 
 def test_selection_set_normalizes_and_validates():
-    s = SelectionSet((3, 1, 2), "batch")
-    assert s.indices == (1, 2, 3)
+    s = SelectionSet((3, 1, 2))
+    assert s.indices.tolist() == [1, 2, 3]
+    assert s.indices.dtype == np.intp and not s.indices.flags.writeable
     assert len(s) == 3
-    assert 2 in s.as_set() and 9 not in s.as_set()
+    assert len(SelectionSet(())) == 0
     with pytest.raises(ValueError, match="duplicate"):
         SelectionSet((1, 1, 2))
-    with pytest.raises(ValueError, match="scope"):
-        SelectionSet((1,), "weekly")
+    with pytest.raises(ValueError, match="index vector"):
+        SelectionSet(np.array([True, False]))
+
+
+def test_selection_set_rejects_negative_indices(tmp_path):
+    with pytest.raises(ValueError, match="negative"):
+        SelectionSet((4, -1))
+    path = tmp_path / "sel.csv"
+    path.write_text("3\n-1\n")
+    with pytest.raises(ValueError, match="negative"):
+        load_selection(path)
 
 
 def test_inner_consensus_examples():
@@ -168,22 +178,21 @@ def test_outer_consensus_all_equal():
     assert tuple(consensus((s, s), (s, s))) == (5, 6)
 
 
-def test_consensus_equals_four_way_intersection_random():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        sets = [rng.choice(30, size=rng.integers(0, 20), replace=False) for _ in range(4)]
-        composed = set(consensus((sets[0], sets[1]), (sets[2], sets[3])).tolist())
-        direct = set(sets[0]) & set(sets[1]) & set(sets[2]) & set(sets[3])
-        assert composed == direct
-        for s in sets:
-            assert composed <= set(s)
+_index_sets = st.lists(st.integers(0, 60), max_size=30, unique=True)
+
+
+@given(_index_sets, _index_sets, _index_sets, _index_sets)
+def test_consensus_equals_four_way_intersection_random(a, b, c, d):
+    arrays = [np.array(s, dtype=np.intp) for s in (a, b, c, d)]
+    composed = consensus((arrays[0], arrays[1]), (arrays[2], arrays[3])).tolist()
+    assert composed == sorted(set(a) & set(b) & set(c) & set(d))
 
 
 def test_selection_csv_round_trip(tmp_path):
-    sel = SelectionSet(tuple(range(0, 50, 3)), "final")
+    sel = SelectionSet(np.arange(0, 50, 3))
     path = tmp_path / "sel.csv"
     save_selection(sel, path)
-    loaded = load_selection(path, "final")
+    loaded = load_selection(path)
     assert loaded == sel
     assert path.read_text().splitlines()[0] == "0"
 
@@ -192,6 +201,9 @@ def test_selection_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1\ntwo\n")
     with pytest.raises(ValueError, match="non-integer"):
+        load_selection(path)
+    path.write_text("1\n" + "9" * 30 + "\n")
+    with pytest.raises(ValueError, match="index vector"):
         load_selection(path)
 
 
