@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from jocot.losses import make_ce_loss_fn, make_joint_loss_fn
-from jocot.network import forward, gradient, init_params
+from jocot.network import activations, forward, gradient, init_params
 
 
 def fd_gradient(params, features, scalar_loss, h=1e-5):
@@ -50,7 +50,7 @@ def main() -> None:
         "joint (lambda=0.85)": make_joint_loss_fn(peer_probs, labels, 0.85),
     }
     for name, loss_fn in cases.items():
-        analytic = gradient(params, features, loss_fn)
+        analytic, _ = gradient(params, activations(params, features), loss_fn)
         fd_w, fd_b = fd_gradient(
             params, features, lambda probs: float(np.mean(loss_fn(probs)[0])))
         worst = 0.0

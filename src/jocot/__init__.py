@@ -41,6 +41,7 @@ from .network import (
     ModelParams,
     OptimizerState,
     TrainConfig,
+    activations,
     adam_init,
     adam_step,
     forward,

@@ -27,7 +27,7 @@ from .data import (
     split,
     synthesize,
 )
-from .network import TrainConfig
+from .network import TrainConfig, _is_int
 from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     EpochMetrics,
@@ -83,9 +83,13 @@ class ExperimentConfig:
                 raise ValueError(f"noise rates {streams[key]!r} and {r!r} share one noise "
                                  f"stream; rates must differ after rounding to 1e-4")
             streams[key] = r
-        self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not all(_is_int(s) for s in self.seeds):
+            raise ValueError(f"seeds must be integers, got {self.seeds!r}")
+        self.seeds = tuple(int(s) for s in self.seeds)
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
         valid = {f.name for f in fields(TrainConfig)}
         unknown = set(self.train_overrides) - valid
         if unknown:
@@ -94,6 +98,8 @@ class ExperimentConfig:
         for key in ("seed", "noise_rate_tau"):
             if key in self.train_overrides:
                 raise ValueError(f"train setting {key!r} is set per cell by the grid")
+        # a bad value fails here, not later as an error in every cell
+        TrainConfig(**self.train_overrides)
 
     def train_config(self, rate: float, seed: int) -> TrainConfig:
         kwargs = dict(self.train_overrides)
@@ -142,17 +148,8 @@ class ExperimentResult:
         return all(c.succeeded for c in self.cells)
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "cells": [
-                {**{k: v for k, v in asdict(c).items()
-                    if k not in ("teacher_metrics", "student_metrics")},
-                 "teacher_metrics": [asdict(m) for m in c.teacher_metrics],
-                 "student_metrics": [asdict(m) for m in c.student_metrics]}
-                for c in self.cells
-            ],
-        }
+        return {"version": self.version, "config": self.config,
+                "cells": [asdict(c) for c in self.cells]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentResult":
@@ -220,7 +217,7 @@ def load_config(path) -> ExperimentConfig:
         if "split_seed" in section:
             kwargs["split_seed"] = int(section["split_seed"])
         if "standardize" in section:
-            kwargs["standardize"] = bool(_parse_scalar(section["standardize"]))
+            kwargs["standardize"] = _parse_scalar(section["standardize"])
         if "rebalance" in section:
             kwargs["rebalance_per_class"] = int(section["rebalance"])
     if parser.has_section("experiment"):

@@ -10,7 +10,7 @@ out once, through the softmax Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,6 +113,11 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (256, 128)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = _is_int(value) or (f.type == "float" and isinstance(value, float))
+            if f.type in ("int", "float") and not number:
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.batch_size < 1 or self.total_epochs < 1 or self.num_gradual_T < 1:
             raise ValueError("batch_size, total_epochs and num_gradual_T must be positive")
         if not 0 < self.decay_start_epoch < self.total_epochs:
@@ -121,9 +126,13 @@ class TrainConfig:
             raise ValueError("lambda_weight must be in [0.05, 0.95]")
         if not 0.0 <= self.noise_rate_tau < 1.0:
             raise ValueError("noise_rate_tau must be in [0, 1)")
-        if any(int(h) < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims must be positive")
+        if not all(_is_int(h) and h >= 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_dims(layer_dims: Sequence[int]) -> list[int]:
@@ -165,55 +174,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def activations(params: ModelParams, features: np.ndarray) -> list[np.ndarray]:
+    """One forward pass: the input of each layer (the features, then each
+    ReLU output), then the class probabilities."""
+    acts = [_check_features(params, features)]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    acts.append(_softmax(acts[-1] @ params.weights[-1] + params.biases[-1]))
+    return acts
+
+
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Class probabilities for a batch; each row sums to 1."""
-    probs, _, _ = _forward_cached(params, features)
-    return probs
+    return activations(params, features)[-1]
 
 
-def _forward_cached(params: ModelParams, features: np.ndarray):
-    """Forward pass keeping per-layer inputs and hidden pre-activations."""
-    a = _check_features(params, features)
-    layer_inputs = [a]
-    hidden_pre = []
-    n_layers = len(params.weights)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        if i < n_layers - 1:
-            hidden_pre.append(z)
-            a = np.maximum(z, 0.0)
-            layer_inputs.append(a)
-        else:
-            probs = _softmax(z)
-    return probs, layer_inputs, hidden_pre
+def gradient(params: ModelParams, acts: Sequence[np.ndarray],
+             loss_fn: ProbLossFn) -> tuple[ModelParams, np.ndarray]:
+    """Gradient of the mean per-sample loss, laid out like params, and the per-sample losses.
 
-
-def gradient(params: ModelParams, features: np.ndarray, loss_fn: ProbLossFn) -> ModelParams:
-    """Gradient of the mean per-sample loss over the batch, laid out like params.
-
-    ``loss_fn`` maps the batch probabilities to per-sample losses and their
-    derivatives w.r.t. the probabilities; the softmax Jacobian and the
-    dense/ReLU stack are back-propagated here. Raises FloatingPointError
-    naming the first sample whose loss is non-finite.
+    ``acts`` is what ``activations`` returned, or the same rows of each of its arrays; no
+    forward pass runs here. A non-finite loss raises FloatingPointError naming its sample.
     """
-    probs, layer_inputs, hidden_pre = _forward_cached(params, features)
+    if len(acts) != len(params.weights) + 1:
+        raise ValueError(f"need {len(params.weights) + 1} activation arrays, got {len(acts)}")
+    probs = acts[-1]
     losses, dprobs = loss_fn(probs)
     bad = ~np.isfinite(losses)
     if bad.any():
         raise FloatingPointError(f"non-finite loss at sample index {int(np.argmax(bad))}")
-    n = probs.shape[0]
     # dL/dlogit_j = p_j * (dL/dp_j - sum_m p_m dL/dp_m); /n for the batch mean
     inner = np.sum(dprobs * probs, axis=1, keepdims=True)
-    delta = probs * (dprobs - inner) / n
-
-    # per layer (d_weight, d_bias), in ModelParams.flat order
-    parts = [np.empty(0)] * (2 * len(params.weights))
+    delta = probs * (dprobs - inner) / probs.shape[0]
+    grads = ModelParams.from_flat(params.layer_dims, np.empty_like(params.flat))
     for layer in range(len(params.weights) - 1, -1, -1):
-        parts[2 * layer] = (layer_inputs[layer].T @ delta).ravel()
-        parts[2 * layer + 1] = delta.sum(axis=0)
+        np.matmul(acts[layer].T, delta, out=grads.weights[layer])
+        np.sum(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
-            delta = (delta @ params.weights[layer].T) * (hidden_pre[layer - 1] > 0.0)
-    return ModelParams.from_flat(params.layer_dims, np.concatenate(parts))
+            # a ReLU output is positive exactly where its input was
+            delta = (delta @ params.weights[layer].T) * (acts[layer] > 0.0)
+    return grads, losses
 
 
 def adam_init(params: ModelParams, beta1: float = 0.9, beta2: float = 0.999,

@@ -32,6 +32,7 @@ from .network import (
     ModelParams,
     OptimizerState,
     TrainConfig,
+    activations,
     adam_init,
     adam_step,
     forward,
@@ -177,40 +178,38 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
         if idx.size == 0:
             warnings.warn("skipping empty batch", stacklevel=2)
             continue
-        x = noisy_train.features[idx]
-        y = noisy_train.labels[idx]
-        probs1 = forward(net1.params, x)
-        probs2 = forward(net2.params, x)
-        ce1 = ce_batch(probs1, y)
-        ce2 = ce_batch(probs2, y)
+        x, y = noisy_train.features[idx], noisy_train.labels[idx]
+        acts1, acts2 = activations(net1.params, x), activations(net2.params, x)
+        probs1, probs2 = acts1[-1], acts2[-1]
+        rank1, rank2 = ce_batch(probs1, y), ce_batch(probs2, y)
         if kind == "jocor":
             contrastive = symmetric_kl_batch(probs1, probs2)
-            rank1 = (1.0 - lambda_weight) * ce1 + lambda_weight * contrastive
-            rank2 = (1.0 - lambda_weight) * ce2 + lambda_weight * contrastive
-            score1 = score2 = (1.0 - lambda_weight) * (ce1 + ce2) + lambda_weight * contrastive
-        else:
-            rank1, rank2 = score1, score2 = ce1, ce2
+            rank1 = (1.0 - lambda_weight) * rank1 + lambda_weight * contrastive
+            rank2 = (1.0 - lambda_weight) * rank2 + lambda_weight * contrastive
         active = np.arange(idx.size)
         if kind == "coteachingplus":
             disagree = probs1.argmax(axis=1) != probs2.argmax(axis=1)
             if disagree.any():
                 active = np.flatnonzero(disagree)
-        # positions in ascending global-index order, the row order every
-        # gradient and loss mean sees
+        # positions in ascending global-index order: the rows of the ranking
+        # forward pass that each update reads, in the order its losses see
         keys = idx[active]
         pos1 = active[small_loss_select(rank1[active], keep_fraction, keys)]
         pos2 = active[small_loss_select(rank2[active], keep_fraction, keys)]
         # jocor: each peer learns from its own selection; otherwise from the other's
         upd1, upd2 = (pos1, pos2) if kind == "jocor" else (pos2, pos1)
-        batch_losses.append(0.5 * (score1[upd1].mean() + score2[upd2].mean()))
         if kind == "jocor":
             # both gradients flow from the same pre-update prediction pair
             loss1 = make_joint_loss_fn(probs2[upd1], y[upd1], lambda_weight)
             loss2 = make_joint_loss_fn(probs1[upd2], y[upd2], lambda_weight)
         else:
             loss1, loss2 = make_ce_loss_fn(y[upd1]), make_ce_loss_fn(y[upd2])
-        for net, upd, loss_fn in ((net1, upd1, loss1), (net2, upd2, loss2)):
-            adam_step(net.params, net.opt, gradient(net.params, x[upd], loss_fn), lr)
+        upd_losses = []
+        for net, acts, upd, loss_fn in ((net1, acts1, upd1, loss1), (net2, acts2, upd2, loss2)):
+            grads, losses = gradient(net.params, [a[upd] for a in acts], loss_fn)
+            adam_step(net.params, net.opt, grads, lr)
+            upd_losses.append(losses.mean())
+        batch_losses.append(0.5 * (upd_losses[0] + upd_losses[1]))
         selections.append((idx[pos1], idx[pos2]))
     msl = float(np.mean(batch_losses)) if batch_losses else None
     return TeacherState(kind, net1, net2, selections, msl)
@@ -335,10 +334,10 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
         lr = lr_at(epoch, config)
         batch_losses = []
         for idx in make_batches(n, config.batch_size, shuffle_rng):
-            x = clean_train.features[idx]
-            y = clean_train.labels[idx]
-            batch_losses.append(float(ce_batch(forward(params, x), y).mean()))
-            adam_step(params, opt, gradient(params, x, make_ce_loss_fn(y)), lr)
+            acts = activations(params, clean_train.features[idx])
+            grads, losses = gradient(params, acts, make_ce_loss_fn(clean_train.labels[idx]))
+            adam_step(params, opt, grads, lr)
+            batch_losses.append(float(losses.mean()))
         val_acc = evaluate(params, clean_val)
         test_acc = evaluate(params, test_set) if test_set is not None else None
         if val_acc > best_val:

@@ -24,7 +24,7 @@ from jocot.experiment import (
     run_experiment,
 )
 from jocot.losses import make_ce_loss_fn, make_joint_loss_fn
-from jocot.network import TrainConfig, gradient, init_params
+from jocot.network import TrainConfig, activations, gradient, init_params
 from jocot.noise import build_noise_matrix, inject_noise
 from jocot.selection import consensus, remember_rate, small_loss_select
 from jocot.training import train_student, train_teachers
@@ -102,7 +102,7 @@ def test_01_gradient_oracle():
                 other = rng.dirichlet(np.full(num_classes, 1.5), size=n)
                 lam = 1.0 if kind == "contrastive" else float(rng.uniform(0.3, 0.9))
                 loss_fn = make_joint_loss_fn(other, labels, lam)
-            analytic = gradient(params, features, loss_fn)
+            analytic, _ = gradient(params, activations(params, features), loss_fn)
             fd_w, fd_b = fd_gradient(
                 params, features, lambda probs: float(np.mean(loss_fn(probs)[0])))
             worst = max(worst,

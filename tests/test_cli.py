@@ -62,6 +62,18 @@ def test_run_rejects_train_seed(tmp_path, capsys):
     assert "'seed'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,key", [
+    ("seeds = 1", "seeds = 1.5, 2.9", "seeds"),
+    ("separation = 3.0", "separation = 3.0\nstandardize = no", "standardize"),
+    ("hidden_dims = 8", "hidden_dims = 32.7", "hidden_dims"),
+], ids=["seeds", "standardize", "hidden_dims"])
+def test_run_rejects_values_it_would_coerce(tmp_path, capsys, old, new, key):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace(old, new))
+    assert main(["run", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_run_rejects_rates_sharing_a_noise_stream(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", "--config", str(path), "--rates", "0.2,0.20001"]) == 2

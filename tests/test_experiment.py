@@ -97,6 +97,20 @@ num_gradual_T = 2
     assert cfg.train_config(0.4, 9).num_gradual_T == 2
 
 
+@pytest.mark.parametrize("section,line,key", [
+    ("experiment", "seeds = 1.5, 2.9", "seeds"),
+    ("data", "standardize = no", "standardize"),
+    ("train", "hidden_dims = 32.7", "hidden_dims"),
+], ids=["seeds", "standardize", "hidden_dims"])
+def test_load_config_rejects_values_it_would_coerce(tmp_path, section, line, key):
+    # 1.5 is no seed, "no" is no boolean and 32.7 no layer width: each
+    # used to load as 1, True and 32
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[{section}]\n{line}\n")
+    with pytest.raises(ValueError, match=key):
+        load_config(path)
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nmethod = jocot\nturbo = yes\n")

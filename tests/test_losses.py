@@ -12,7 +12,7 @@ from jocot.losses import (
     make_joint_loss_fn,
     symmetric_kl_batch,
 )
-from jocot.network import forward, gradient, init_params
+from jocot.network import activations, forward, gradient, init_params
 from _oracles import fd_gradient, scalar_kl
 
 
@@ -167,7 +167,7 @@ def test_ce_loss_fn_gradient_matches_fd():
     x = rng.normal(size=(6, 5))
     labels = rng.integers(0, 4, size=6)
     loss_fn = make_ce_loss_fn(labels)
-    grads = gradient(params, x, loss_fn)
+    grads, _ = gradient(params, activations(params, x), loss_fn)
     fd_w, fd_b = fd_gradient(params, x, lambda p: loss_fn(p)[0].mean())
     for a, n in zip(grads.weights + grads.biases, fd_w + fd_b):
         npt.assert_allclose(a, n, rtol=1e-5, atol=1e-8)
@@ -182,7 +182,7 @@ def test_joint_loss_fn_gradient_matches_fd():
     other_probs = forward(other, x)
     for lam in [0.0, 0.5, 0.85, 1.0]:
         loss_fn = make_joint_loss_fn(other_probs, labels, lam)
-        grads = gradient(params, x, loss_fn)
+        grads, _ = gradient(params, activations(params, x), loss_fn)
         fd_w, fd_b = fd_gradient(params, x, lambda p: loss_fn(p)[0].mean())
         for a, n in zip(grads.weights + grads.biases, fd_w + fd_b):
             npt.assert_allclose(a, n, rtol=1e-5, atol=1e-8)
@@ -196,6 +196,6 @@ def test_joint_contrastive_gradient_zero_when_predictions_coincide():
     x = rng.normal(size=(5, 4))
     probs = forward(params, x)
     labels = rng.integers(0, 3, size=5)
-    grads = gradient(params, x, make_joint_loss_fn(probs, labels, 1.0))
+    grads, _ = gradient(params, activations(params, x), make_joint_loss_fn(probs, labels, 1.0))
     for g in grads.weights + grads.biases:
         npt.assert_allclose(g, np.zeros_like(g), atol=1e-12)

@@ -10,6 +10,7 @@ import pytest
 from jocot.network import (
     ModelParams,
     TrainConfig,
+    activations,
     adam_init,
     adam_step,
     forward,
@@ -88,7 +89,7 @@ def entropy_loss(probs):
 def test_gradient_matches_finite_differences(dims, loss_fn, seed):
     params, rng = make_net(dims, seed)
     x = rng.normal(size=(6, dims[0]))
-    grads = gradient(params, x, loss_fn)
+    grads, _ = gradient(params, activations(params, x), loss_fn)
     fd_w, fd_b = fd_gradient(params, x, lambda p: loss_fn(p)[0].mean())
     for a, n in zip(grads.weights, fd_w):
         npt.assert_allclose(a, n, rtol=1e-5, atol=1e-8)
@@ -106,7 +107,37 @@ def test_gradient_nonfinite_loss_raises():
         return losses, np.zeros_like(probs)
 
     with pytest.raises(FloatingPointError, match="index 2"):
-        gradient(params, x, bad_loss)
+        gradient(params, activations(params, x), bad_loss)
+
+
+def test_activations_list_ends_in_forward():
+    params, rng = make_net([5, 7, 6, 4], 6)
+    x = rng.normal(size=(3, 5))
+    acts = activations(params, x)
+    assert [a.shape for a in acts] == [(3, 5), (3, 7), (3, 6), (3, 4)]
+    npt.assert_array_equal(acts[0], x)
+    assert all((a >= 0).all() for a in acts[1:-1])
+    npt.assert_array_equal(acts[-1], forward(params, x))
+
+
+@pytest.mark.parametrize("rows", [[0, 2, 3, 7, 8], [4], [8, 1]])
+def test_gradient_on_rows_of_a_batch_forward_pass(rows):
+    # an update reads its rows of the ranking forward pass instead of
+    # running the forward pass again on the subset
+    params, rng = make_net([5, 7, 6, 4], 15)
+    x = rng.normal(size=(9, 5))
+    acts = activations(params, x)
+    grads, losses = gradient(params, [a[rows] for a in acts], entropy_loss)
+    npt.assert_array_equal(losses, entropy_loss(acts[-1][rows])[0])
+    alone, _ = gradient(params, activations(params, x[rows]), entropy_loss)
+    npt.assert_allclose(grads.flat, alone.flat, rtol=1e-10, atol=1e-14)
+
+
+def test_gradient_needs_one_array_per_layer_input_and_the_probabilities():
+    params, rng = make_net([3, 4, 2], 16)
+    x = rng.normal(size=(5, 3))
+    with pytest.raises(ValueError, match="3 activation arrays, got 5"):
+        gradient(params, x, quadratic_loss)
 
 
 def test_adam_first_step_scalar_oracle():
@@ -198,6 +229,13 @@ def test_train_config_validation():
         TrainConfig(noise_rate_tau=1.0)
     with pytest.raises(ValueError):
         TrainConfig(hidden_dims=(0,))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("hidden_dims", (32.7,)), ("batch_size", 16.0), ("seed", True), ("base_lr", "fast")])
+def test_train_config_rejects_values_it_would_coerce(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
 
 
 def test_model_params_flat_layout():

@@ -11,6 +11,7 @@ from jocot.losses import ce_batch, make_ce_loss_fn
 from jocot.network import (
     ModelParams,
     TrainConfig,
+    activations,
     adam_init,
     adam_step,
     forward,
@@ -128,14 +129,17 @@ def test_coteaching_cross_update_wiring_exact():
     p2, o2 = state.net2.params.copy(), state.net2.opt.copy()
     for idx in batches:
         x, y = ds.features[idx], ds.labels[idx]
-        l1 = ce_batch(forward(p1, x), y)
-        l2 = ce_batch(forward(p2, x), y)
+        a1, a2 = activations(p1, x), activations(p2, x)
+        l1 = ce_batch(a1[-1], y)
+        l2 = ce_batch(a2[-1], y)
         k = 3  # ceil(0.5 * 6)
         sel1 = np.array(sorted(sorted(idx, key=lambda g: (l1[list(idx).index(g)], g))[:k]))
         sel2 = np.array(sorted(sorted(idx, key=lambda g: (l2[list(idx).index(g)], g))[:k]))
-        g1 = gradient(p1, ds.features[sel2], make_ce_loss_fn(ds.labels[sel2]))
+        # each update reads its rows of the ranking forward pass
+        rows1, rows2 = sel1 - idx[0], sel2 - idx[0]
+        g1, _ = gradient(p1, [a[rows2] for a in a1], make_ce_loss_fn(ds.labels[sel2]))
         adam_step(p1, o1, g1, 1e-3)
-        g2 = gradient(p2, ds.features[sel1], make_ce_loss_fn(ds.labels[sel1]))
+        g2, _ = gradient(p2, [a[rows1] for a in a2], make_ce_loss_fn(ds.labels[sel1]))
         adam_step(p2, o2, g2, 1e-3)
     for got, want in zip(out.net1.params.weights + out.net2.params.weights,
                          p1.weights + p2.weights):
@@ -352,6 +356,28 @@ def test_train_module_rejects_unknown_kind():
         train_module(small_cfg(), "bagging", ds)
 
 
+def test_one_forward_pass_per_network_per_batch(monkeypatch):
+    # ranking, the logged batch loss and backprop all read one forward pass
+    calls = []
+
+    def counting(params, features):
+        calls.append(len(features))
+        return activations(params, features)
+
+    monkeypatch.setattr(training, "activations", counting)
+    ds = synthesize(3, 20, dim=4, separation=2.0, seed=18)
+    batches = [np.arange(0, 25), np.array([], dtype=int), np.arange(25, 60)]
+    for kind in training.MODULE_KINDS:
+        calls.clear()
+        state = init_teacher_state(kind, [4, 8, 3], np.random.default_rng(5))
+        with pytest.warns(UserWarning, match="empty batch"):
+            pair_epoch(state, ds, 0.7, 1e-3, batches)
+        assert calls == [25, 25, 35, 35]
+    calls.clear()
+    train_student(ds, ds, small_cfg(total_epochs=2, decay_start_epoch=1))
+    assert calls == [16, 16, 16, 12] * 2
+
+
 def test_train_student_best_checkpoint_rule():
     train = synthesize(3, 30, dim=4, separation=2.5, seed=20)
     val = synthesize(3, 10, dim=4, separation=2.5, seed=21)
@@ -402,8 +428,8 @@ def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(25)
     params = init_params([4, 6, 3], rng)
     opt = adam_init(params)
-    grads = gradient(params, rng.normal(size=(5, 4)),
-                     make_ce_loss_fn(rng.integers(0, 3, 5)))
+    grads, _ = gradient(params, activations(params, rng.normal(size=(5, 4))),
+                        make_ce_loss_fn(rng.integers(0, 3, 5)))
     adam_step(params, opt, grads, 1e-3)
     rng_state = rng.bit_generator.state
     path = tmp_path / "ckpt.npz"
