@@ -213,7 +213,12 @@ def load_config(path) -> ExperimentConfig:
                          ("dim", "dim"), ("separation", "separation"),
                          ("data_seed", "seed")):
             if src in section:
-                synth[dst] = _parse_scalar(section[src])
+                value = _parse_scalar(section[src])
+                number = src == "separation" and isinstance(value, float)
+                if not (_is_int(value) or number):
+                    kind = "a number" if src == "separation" else "an integer"
+                    raise ValueError(f"{path}: [data] {src} must be {kind}, got {value!r}")
+                synth[dst] = value
         if "split_seed" in section:
             kwargs["split_seed"] = int(section["split_seed"])
         if "standardize" in section:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -189,15 +189,22 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return activations(params, features)[-1]
 
 
-def gradient(params: ModelParams, acts: Sequence[np.ndarray],
-             loss_fn: ProbLossFn) -> tuple[ModelParams, np.ndarray]:
+def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossFn,
+             out: Optional[ModelParams] = None) -> tuple[ModelParams, np.ndarray]:
     """Gradient of the mean per-sample loss, laid out like params, and the per-sample losses.
 
     ``acts`` is what ``activations`` returned, or the same rows of each of its arrays; no
-    forward pass runs here. A non-finite loss raises FloatingPointError naming its sample.
+    forward pass runs here. The gradient is written into ``out`` and ``out`` is returned;
+    without one a new ModelParams is allocated. A non-finite loss raises
+    FloatingPointError naming its sample.
     """
     if len(acts) != len(params.weights) + 1:
         raise ValueError(f"need {len(params.weights) + 1} activation arrays, got {len(acts)}")
+    if out is None:
+        out = ModelParams.from_flat(params.layer_dims, np.empty_like(params.flat))
+    elif out.layer_dims != params.layer_dims:
+        raise ValueError(f"out layer_dims {out.layer_dims} do not match "
+                         f"parameter layer_dims {params.layer_dims}")
     probs = acts[-1]
     losses, dprobs = loss_fn(probs)
     bad = ~np.isfinite(losses)
@@ -206,14 +213,13 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray],
     # dL/dlogit_j = p_j * (dL/dp_j - sum_m p_m dL/dp_m); /n for the batch mean
     inner = np.sum(dprobs * probs, axis=1, keepdims=True)
     delta = probs * (dprobs - inner) / probs.shape[0]
-    grads = ModelParams.from_flat(params.layer_dims, np.empty_like(params.flat))
     for layer in range(len(params.weights) - 1, -1, -1):
-        np.matmul(acts[layer].T, delta, out=grads.weights[layer])
-        np.sum(delta, axis=0, out=grads.biases[layer])
+        np.matmul(acts[layer].T, delta, out=out.weights[layer])
+        np.sum(delta, axis=0, out=out.biases[layer])
         if layer > 0:
             # a ReLU output is positive exactly where its input was
             delta = (delta @ params.weights[layer].T) * (acts[layer] > 0.0)
-    return grads, losses
+    return out, losses
 
 
 def adam_init(params: ModelParams, beta1: float = 0.9, beta2: float = 0.999,
@@ -223,22 +229,42 @@ def adam_init(params: ModelParams, beta1: float = 0.9, beta2: float = 0.999,
 
 
 def adam_step(params: ModelParams, state: OptimizerState, grads: ModelParams,
-              lr: float) -> None:
-    """One bias-corrected Adam update of params.flat, state.m and state.v in place."""
+              lr: float, scratch: Optional[np.ndarray] = None) -> None:
+    """One bias-corrected Adam update of params.flat, state.m and state.v in place.
+
+    ``scratch`` is a (2, n) float64 array for the update's temporaries, n being the
+    parameter count; without one it is allocated here.
+    """
     if grads.layer_dims != params.layer_dims:
         raise ValueError(f"gradient layer_dims {grads.layer_dims} do not match "
                          f"parameter layer_dims {params.layer_dims}")
+    if scratch is None:
+        scratch = np.empty((2, params.flat.size))
+    elif scratch.shape != (2, params.flat.size) or scratch.dtype != np.float64:
+        raise ValueError(f"scratch must be a (2, {params.flat.size}) float64 array, "
+                         f"got {scratch.dtype} {scratch.shape}")
     state.step_count += 1
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
     c1 = 1.0 - b1 ** state.step_count
     c2 = 1.0 - b2 ** state.step_count
     g, m, v = grads.flat, state.m, state.v
-    # the rounding order of b1*m + (1-b1)*g and b2*v + ((1-b2)*g)*g
+    s1, s2 = scratch
+    # the rounding order of b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
+    # flat - lr*(m/c1) / (sqrt(v/c2) + eps); a*b == b*a exactly
     m *= b1
-    m += (1.0 - b1) * g
+    np.multiply(g, 1.0 - b1, out=s1)
+    m += s1
     v *= b2
-    v += (1.0 - b2) * g * g
-    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.multiply(g, 1.0 - b2, out=s1)
+    s1 *= g
+    v += s1
+    np.divide(m, c1, out=s1)
+    s1 *= lr
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    s1 /= s2
+    params.flat -= s1
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:

@@ -13,15 +13,23 @@ the pair's module_kind picks the step:
 train_teachers runs the joint-loss pair and the cross-update pair over a
 shared batch schedule and intersects their per-batch selections into the
 consensus clean set that feeds the student; train_module runs one pair
-through the same epoch loop. train_student fits plain cross-entropy on a
-trusted subset, checkpointed by validation accuracy.
+through the same epoch loop. The two teacher pairs read nothing of each
+other within an epoch, so the second steps on a worker thread while the
+calling thread steps the first, with OpenBLAS pinned to one thread.
+train_student fits plain cross-entropy on a trusted subset, checkpointed
+by validation accuracy.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -58,6 +66,43 @@ _ROLE_MODULE_SHUFFLE = 6
 
 def _role_rng(seed: int, role: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role,)))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block and restore the caller's
+    count after it: pairs stepping on two threads would otherwise each ask
+    for every core. Pins nothing when no bundled OpenBLAS is found."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @dataclass
@@ -156,6 +201,13 @@ def evaluate(params: ModelParams, dataset: LabeledDataset) -> float:
     return float((preds == dataset.labels).mean())
 
 
+def _step_buffers(params: ModelParams) -> Tuple[ModelParams, np.ndarray]:
+    """One (3, n) block for a network step: a gradient laid out like params,
+    then adam_step's (2, n) scratch."""
+    work = np.empty((3, params.flat.size))
+    return ModelParams.from_flat(params.layer_dims, work[0]), work[1:]
+
+
 def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
                keep_fraction: float, lr: float, batches, *,
                lambda_weight: float = TrainConfig.lambda_weight) -> TeacherState:
@@ -164,13 +216,15 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
     coteaching(plus) ranks each peer's CE; the plus variant ranks only where
     the peers' argmax predictions differ (whole batch when they fully agree).
     jocor ranks per network ((1-lambda)*own CE + lambda*contrastive).
-    The peers are copied once, so ``state`` itself is left untouched.
+    The peers are stepped in place and ``state`` is returned with this
+    epoch's selections and mean selected loss.
     """
     kind = state.module_kind
     if kind not in MODULE_KINDS:
         raise ValueError(f"module_kind must be one of {MODULE_KINDS}, got {kind!r}")
-    net1, net2 = (PeerNet(net.params.copy(), net.opt.copy())
-                  for net in (state.net1, state.net2))
+    net1, net2 = state.net1, state.net2
+    # both peers share one layout, so they take turns with one block
+    grads, scratch = _step_buffers(net1.params)
     selections = []
     batch_losses = []
     for idx in batches:
@@ -206,13 +260,14 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
             loss1, loss2 = make_ce_loss_fn(y[upd1]), make_ce_loss_fn(y[upd2])
         upd_losses = []
         for net, acts, upd, loss_fn in ((net1, acts1, upd1, loss1), (net2, acts2, upd2, loss2)):
-            grads, losses = gradient(net.params, [a[upd] for a in acts], loss_fn)
-            adam_step(net.params, net.opt, grads, lr)
+            _, losses = gradient(net.params, [a[upd] for a in acts], loss_fn, out=grads)
+            adam_step(net.params, net.opt, grads, lr, scratch)
             upd_losses.append(losses.mean())
         batch_losses.append(0.5 * (upd_losses[0] + upd_losses[1]))
         selections.append((idx[pos1], idx[pos2]))
-    msl = float(np.mean(batch_losses)) if batch_losses else None
-    return TeacherState(kind, net1, net2, selections, msl)
+    state.epoch_selections = selections
+    state.mean_selected_loss = float(np.mean(batch_losses)) if batch_losses else None
+    return state
 
 
 def _epoch_clean(module_selections, n_total: int) -> np.ndarray:
@@ -236,6 +291,10 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     """The epoch loop of train_teachers and train_module: one pair_epoch per
     (module_kind, rng role) in init_roles over a shared batch schedule, then
     consensus, evaluation (test accuracy is the peer mean) and metrics.
+    The calling thread steps the first pair and one worker thread the others;
+    numpy releases the GIL in BLAS and in its array loops, so two pairs keep
+    two cores busy. The worker lives for one call, so a process forked
+    after training inherits no thread pool whose thread it lacks.
     Returns the final states, the metrics and every epoch's clean mask."""
     if len(noisy_train) == 0:
         raise ValueError("noisy_train is empty")
@@ -246,32 +305,38 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     shuffle_rng = _role_rng(config.seed, shuffle_role)
     metrics: List[EpochMetrics] = []
     clean_masks: List[np.ndarray] = []
-    for epoch in range(config.total_epochs):
-        rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
-        lr = lr_at(epoch, config)
-        batches = make_batches(n, config.batch_size, shuffle_rng)
-        states = [pair_epoch(s, noisy_train, rate, lr, batches,
-                             lambda_weight=config.lambda_weight)
-                  for s in states]
-        clean = _epoch_clean([s.epoch_selections for s in states], n)
-        clean_masks.append(clean)
-        precision = None
-        if noise_mask is not None and noise_mask.num_flipped > 0:
-            precision = noisy_label_precision(~clean, noise_mask)
-        test_acc = None
-        if test_set is not None:
-            test_acc = float(np.mean([evaluate(net.params, test_set)
-                                      for s in states for net in (s.net1, s.net2)]))
-        msl_parts = [s.mean_selected_loss for s in states
-                     if s.mean_selected_loss is not None]
-        metrics.append(EpochMetrics(
-            epoch=epoch,
-            test_accuracy=test_acc,
-            noisy_label_precision=precision,
-            remember_rate=rate,
-            mean_selected_loss=float(np.mean(msl_parts)) if msl_parts else None,
-            lr=lr,
-        ))
+    # leaving the executor waits for the worker, also when the calling thread
+    # raised; only then is the caller's BLAS thread count restored
+    with _one_blas_thread(), ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="jocot-module") as worker:
+        for epoch in range(config.total_epochs):
+            rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
+            lr = lr_at(epoch, config)
+            batches = make_batches(n, config.batch_size, shuffle_rng)
+            args = (noisy_train, rate, lr, batches)
+            kwargs = {"lambda_weight": config.lambda_weight}
+            futures = [worker.submit(pair_epoch, s, *args, **kwargs) for s in states[1:]]
+            states = [pair_epoch(states[0], *args, **kwargs),
+                      *(f.result() for f in futures)]
+            clean = _epoch_clean([s.epoch_selections for s in states], n)
+            clean_masks.append(clean)
+            precision = None
+            if noise_mask is not None and noise_mask.num_flipped > 0:
+                precision = noisy_label_precision(~clean, noise_mask)
+            test_acc = None
+            if test_set is not None:
+                test_acc = float(np.mean([evaluate(net.params, test_set)
+                                          for s in states for net in (s.net1, s.net2)]))
+            msl_parts = [s.mean_selected_loss for s in states
+                         if s.mean_selected_loss is not None]
+            metrics.append(EpochMetrics(
+                epoch=epoch,
+                test_accuracy=test_acc,
+                noisy_label_precision=precision,
+                remember_rate=rate,
+                mean_selected_loss=float(np.mean(msl_parts)) if msl_parts else None,
+                lr=lr,
+            ))
     return states, metrics, clean_masks
 
 
@@ -324,6 +389,7 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
     dims = [clean_train.feature_dim, *config.hidden_dims, clean_train.num_classes]
     params = init_params(dims, _role_rng(config.seed, _ROLE_STUDENT_INIT))
     opt = adam_init(params)
+    grads, scratch = _step_buffers(params)
     shuffle_rng = _role_rng(config.seed, _ROLE_STUDENT_SHUFFLE)
 
     metrics: List[EpochMetrics] = []
@@ -335,8 +401,9 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
         batch_losses = []
         for idx in make_batches(n, config.batch_size, shuffle_rng):
             acts = activations(params, clean_train.features[idx])
-            grads, losses = gradient(params, acts, make_ce_loss_fn(clean_train.labels[idx]))
-            adam_step(params, opt, grads, lr)
+            _, losses = gradient(params, acts, make_ce_loss_fn(clean_train.labels[idx]),
+                                 out=grads)
+            adam_step(params, opt, grads, lr, scratch)
             batch_losses.append(float(losses.mean()))
         val_acc = evaluate(params, clean_val)
         test_acc = evaluate(params, test_set) if test_set is not None else None

@@ -66,7 +66,8 @@ def test_run_rejects_train_seed(tmp_path, capsys):
     ("seeds = 1", "seeds = 1.5, 2.9", "seeds"),
     ("separation = 3.0", "separation = 3.0\nstandardize = no", "standardize"),
     ("hidden_dims = 8", "hidden_dims = 32.7", "hidden_dims"),
-], ids=["seeds", "standardize", "hidden_dims"])
+    ("per_class = 30", "per_class = 30.5", "per_class"),
+], ids=["seeds", "standardize", "hidden_dims", "per_class"])
 def test_run_rejects_values_it_would_coerce(tmp_path, capsys, old, new, key):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace(old, new))

@@ -101,7 +101,8 @@ num_gradual_T = 2
     ("experiment", "seeds = 1.5, 2.9", "seeds"),
     ("data", "standardize = no", "standardize"),
     ("train", "hidden_dims = 32.7", "hidden_dims"),
-], ids=["seeds", "standardize", "hidden_dims"])
+    ("data", "per_class = 30.5", "per_class"),
+], ids=["seeds", "standardize", "hidden_dims", "per_class"])
 def test_load_config_rejects_values_it_would_coerce(tmp_path, section, line, key):
     # 1.5 is no seed, "no" is no boolean and 32.7 no layer width: each
     # used to load as 1, True and 32

@@ -188,6 +188,43 @@ def test_adam_many_steps_match_reference_loop():
         npt.assert_allclose(a, r, rtol=1e-12)
 
 
+def test_gradient_into_out_matches_allocating_call():
+    params, rng = make_net([5, 7, 6, 4], 17)
+    acts = activations(params, rng.normal(size=(9, 5)))
+    want, want_losses = gradient(params, acts, entropy_loss)
+    out = ModelParams.from_flat(params.layer_dims, np.full(params.flat.size, np.nan))
+    got, losses = gradient(params, acts, entropy_loss, out=out)
+    assert got is out
+    npt.assert_array_equal(out.flat, want.flat)
+    npt.assert_array_equal(losses, want_losses)
+    with pytest.raises(ValueError, match="out layer_dims"):
+        gradient(params, acts, entropy_loss, out=init_params([5, 7, 4], rng))
+
+
+def test_adam_step_with_scratch_matches_allocating_call_and_expression():
+    # bitwise: the scratch keeps the rounding order of the textbook expression
+    rng = np.random.default_rng(18)
+    params, _ = make_net([4, 6, 3], 18)
+    alloc, scratched = params.copy(), params.copy()
+    opt_a, opt_s = adam_init(alloc), adam_init(scratched)
+    scratch = np.full((2, params.flat.size), np.nan)
+    m, v, flat = np.zeros_like(params.flat), np.zeros_like(params.flat), params.flat.copy()
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.003
+    for t in range(1, 6):
+        g = ModelParams.from_flat(params.layer_dims, rng.normal(size=params.flat.size))
+        adam_step(alloc, opt_a, g, lr)
+        adam_step(scratched, opt_s, g, lr, scratch)
+        m = b1 * m + (1.0 - b1) * g.flat
+        v = b2 * v + (1.0 - b2) * g.flat * g.flat
+        flat = flat - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        for opt, net in ((opt_a, alloc), (opt_s, scratched)):
+            npt.assert_array_equal(net.flat, flat)
+            npt.assert_array_equal(opt.m, m)
+            npt.assert_array_equal(opt.v, v)
+    with pytest.raises(ValueError, match="scratch"):
+        adam_step(scratched, opt_s, g, lr, scratch[:, 1:])
+
+
 def test_adam_shape_mismatch_raises():
     params, _ = make_net([3, 2], 7)
     state = adam_init(params)

@@ -1,6 +1,13 @@
 """Training paradigms: planted-sample selection, cross-update wiring,
 consensus orchestration, student checkpointing, determinism."""
 
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import Future
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -122,11 +129,11 @@ def test_coteaching_cross_update_wiring_exact():
     state.net1.opt = adam_init(state.net1.params)
     state.net2.opt = adam_init(state.net2.params)
     batches = [np.arange(0, 6), np.arange(6, 12)]
-    out = pair_epoch(state, ds, 0.5, 1e-3, batches)
-
-    # pair_epoch must have left state untouched: the reference starts from it
+    # pair_epoch steps state in place: the reference starts from a copy
     p1, o1 = state.net1.params.copy(), state.net1.opt.copy()
     p2, o2 = state.net2.params.copy(), state.net2.opt.copy()
+    out = pair_epoch(state, ds, 0.5, 1e-3, batches)
+
     for idx in batches:
         x, y = ds.features[idx], ds.labels[idx]
         a1, a2 = activations(p1, x), activations(p2, x)
@@ -170,10 +177,11 @@ def test_jocor_lambda_zero_matches_ce_ranking():
     state.net1.opt = adam_init(state.net1.params)
     state.net2.opt = adam_init(state.net2.params)
     idx = np.arange(10)
-    out = pair_epoch(state, ds, 0.4, 1e-4, [idx], lambda_weight=0.0)
-    sel1, sel2 = out.epoch_selections[0]
+    # the ranking reads the peers before pair_epoch steps them in place
     l1 = ce_batch(forward(state.net1.params, ds.features), ds.labels)
     l2 = ce_batch(forward(state.net2.params, ds.features), ds.labels)
+    out = pair_epoch(state, ds, 0.4, 1e-4, [idx], lambda_weight=0.0)
+    sel1, sel2 = out.epoch_selections[0]
     npt.assert_array_equal(sel1, idx[small_loss_select(l1, 0.4, idx)])
     npt.assert_array_equal(sel2, idx[small_loss_select(l2, 0.4, idx)])
 
@@ -336,6 +344,157 @@ def test_train_teachers_per_batch_consensus_equals_per_epoch():
     i_p = set().union(*[(set(p1.tolist()) & set(p2.tolist())) for p1, p2 in f_sels])
     i_q = set().union(*[(set(q1.tolist()) & set(q2.tolist())) for q1, q2 in g_sels])
     assert set(np.flatnonzero(result.epoch_clean_masks[-1]).tolist()) == (i_p & i_q)
+
+
+class InlineExecutor:
+    """Runs each submitted call at once, on the calling thread."""
+
+    def __init__(self, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - handed over like the real executor
+            future.set_exception(exc)
+        return future
+
+
+def noisy_teacher_task(seed=30):
+    ds = synthesize(3, 20, dim=4, separation=2.0, seed=seed)
+    mask = inject_noise(ds.labels, build_noise_matrix("symmetric", 0.4, 3), seed=seed + 1)
+    noisy = LabeledDataset(ds.features, mask.noisy_labels, 3)
+    return noisy, synthesize(3, 10, dim=4, separation=2.0, seed=seed + 2), mask
+
+
+def test_train_teachers_concurrent_equals_inline(monkeypatch):
+    noisy, test, mask = noisy_teacher_task()
+    cfg = small_cfg(noise_rate_tau=0.4, hidden_dims=(16, 8), seed=2)
+    threads = {}
+
+    def recording(state, *args, **kwargs):
+        threads.setdefault(state.module_kind, set()).add(threading.get_ident())
+        return pair_epoch(state, *args, **kwargs)
+
+    monkeypatch.setattr(training, "pair_epoch", recording)
+    concurrent = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
+    # the calling thread steps the joint-loss pair, the worker the other
+    assert threads["jocor"] == {threading.get_ident()}
+    assert len(threads["coteaching"]) == 1 and threads["coteaching"] != threads["jocor"]
+    monkeypatch.setattr(training, "ThreadPoolExecutor", InlineExecutor)
+    inline = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
+
+    npt.assert_array_equal(concurrent.final_selection.indices, inline.final_selection.indices)
+    assert concurrent.metrics == inline.metrics
+    assert len(concurrent.epoch_clean_masks) == len(inline.epoch_clean_masks) == 5
+    for a, b in zip(concurrent.epoch_clean_masks, inline.epoch_clean_masks):
+        npt.assert_array_equal(a, b)
+    for name in ("jocor_state", "coteaching_state"):
+        sa, sb = getattr(concurrent, name), getattr(inline, name)
+        assert sa.mean_selected_loss == sb.mean_selected_loss
+        for pa, pb in zip(sa.epoch_selections, sb.epoch_selections):
+            npt.assert_array_equal(pa[0], pb[0])
+            npt.assert_array_equal(pa[1], pb[1])
+        for na, nb in ((sa.net1, sb.net1), (sa.net2, sb.net2)):
+            npt.assert_array_equal(na.params.flat, nb.params.flat)
+            npt.assert_array_equal(na.opt.m, nb.opt.m)
+            npt.assert_array_equal(na.opt.v, nb.opt.v)
+            assert na.opt.step_count == nb.opt.step_count
+
+
+needs_openblas = pytest.mark.skipif(training._openblas_threads() is None,
+                                    reason="no OpenBLAS bundled with numpy found")
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The OpenBLAS (get, set) pair, the count set to 2 (as the library
+    reports it back) for the test and the caller's count put back after."""
+    get, set_ = training._openblas_threads()
+    before = get()
+    set_(2)
+    try:
+        yield get, get()
+    finally:
+        set_(before)
+
+
+@needs_openblas
+def test_train_teachers_pins_one_blas_thread_then_restores(monkeypatch, blas_at_two_threads):
+    get, caller_count = blas_at_two_threads
+    seen = []
+
+    def recording(state, *args, **kwargs):
+        seen.append(get())
+        return pair_epoch(state, *args, **kwargs)
+
+    monkeypatch.setattr(training, "pair_epoch", recording)
+    noisy, _, _ = noisy_teacher_task()
+    train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
+    assert seen == [1] * 10
+    assert get() == caller_count
+
+
+@needs_openblas
+def test_worker_error_reaches_caller_and_blas_count_restored(monkeypatch, blas_at_two_threads):
+    get, caller_count = blas_at_two_threads
+    error = RuntimeError("cross-update pair failed")
+
+    def failing(state, *args, **kwargs):
+        if state.module_kind == "coteaching":
+            raise error
+        return pair_epoch(state, *args, **kwargs)
+
+    monkeypatch.setattr(training, "pair_epoch", failing)
+    noisy, _, _ = noisy_teacher_task()
+    with pytest.raises(RuntimeError) as info:
+        train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
+    assert info.value is error
+    assert get() == caller_count
+
+
+_TEACHER_DIGEST = """
+import hashlib
+import jocot.training as training
+from jocot.data import LabeledDataset, synthesize
+from jocot.network import TrainConfig
+from jocot.noise import build_noise_matrix, inject_noise
+
+ds = synthesize(12, 30, dim=51, separation=3.0, seed=40)
+mask = inject_noise(ds.labels, build_noise_matrix("symmetric", 0.4, 12), seed=41)
+noisy = LabeledDataset(ds.features, mask.noisy_labels, 12)
+cfg = TrainConfig(total_epochs=3, decay_start_epoch=2, batch_size=64, seed=4,
+                  noise_rate_tau=0.4)
+result = training.train_teachers(cfg, noisy, test_set=ds, noise_mask=mask)
+digest = hashlib.sha256(repr(result.metrics).encode())
+for mask_ in result.epoch_clean_masks:
+    digest.update(mask_.tobytes())
+for state in (result.jocor_state, result.coteaching_state):
+    for net in (state.net1, state.net2):
+        for array in (net.params.flat, net.opt.m, net.opt.v):
+            digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_teacher_outputs_ignore_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _TEACHER_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_train_module_runs_all_kinds():
