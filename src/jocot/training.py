@@ -15,7 +15,8 @@ shared batch schedule and intersects their per-batch selections into the
 consensus clean set that feeds the student; train_module runs one pair
 through the same epoch loop. The two teacher pairs read nothing of each
 other within an epoch, so the second steps on a worker thread while the
-calling thread steps the first, with OpenBLAS pinned to one thread.
+calling thread steps the first, with OpenBLAS pinned to one thread; when
+no OpenBLAS count can be pinned, both step on the calling thread.
 train_student fits plain cross-entropy on a trusted subset, checkpointed
 by validation accuracy.
 """
@@ -77,7 +78,8 @@ def _openblas_threads():
             dll = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
             get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
             set_ = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and set_ is not None:
@@ -88,19 +90,25 @@ def _openblas_threads():
 
 
 @contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block and restore the caller's
-    count after it: pairs stepping on two threads would otherwise each ask
-    for every core. Pins nothing when no bundled OpenBLAS is found."""
-    blas = _openblas_threads()
+def _pair_worker(concurrent: bool):
+    """A one-thread executor for stepping pairs beside the calling thread,
+    with OpenBLAS pinned to one thread for the block and the caller's count
+    restored after it: two pairs each asking OpenBLAS for every core run
+    slower than one after the other. Yields None, and touches no BLAS
+    setting, when ``concurrent`` is false or no bundled OpenBLAS count can
+    be pinned; the caller then steps every pair itself."""
+    blas = _openblas_threads() if concurrent else None
     if blas is None:
-        yield
+        yield None
         return
     get, set_ = blas
     before = get()
     set_(1)
     try:
-        yield
+        # leaving the executor waits for the worker, also when the calling
+        # thread raised; only then is the caller's count restored
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="jocot-module") as worker:
+            yield worker
     finally:
         set_(before)
 
@@ -291,10 +299,12 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     """The epoch loop of train_teachers and train_module: one pair_epoch per
     (module_kind, rng role) in init_roles over a shared batch schedule, then
     consensus, evaluation (test accuracy is the peer mean) and metrics.
-    The calling thread steps the first pair and one worker thread the others;
-    numpy releases the GIL in BLAS and in its array loops, so two pairs keep
-    two cores busy. The worker lives for one call, so a process forked
-    after training inherits no thread pool whose thread it lacks.
+    With more than one pair and an OpenBLAS count to pin, the calling thread
+    steps the first pair and one worker thread the others; numpy releases
+    the GIL in BLAS and in its array loops, so two pairs keep two cores
+    busy. Otherwise the calling thread steps every pair and BLAS is left
+    as the caller set it. The worker lives for one call, so a process
+    forked after training inherits no thread pool whose thread it lacks.
     Returns the final states, the metrics and every epoch's clean mask."""
     if len(noisy_train) == 0:
         raise ValueError("noisy_train is empty")
@@ -305,19 +315,19 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     shuffle_rng = _role_rng(config.seed, shuffle_role)
     metrics: List[EpochMetrics] = []
     clean_masks: List[np.ndarray] = []
-    # leaving the executor waits for the worker, also when the calling thread
-    # raised; only then is the caller's BLAS thread count restored
-    with _one_blas_thread(), ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="jocot-module") as worker:
+    with _pair_worker(len(states) > 1) as worker:
         for epoch in range(config.total_epochs):
             rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
             lr = lr_at(epoch, config)
             batches = make_batches(n, config.batch_size, shuffle_rng)
             args = (noisy_train, rate, lr, batches)
             kwargs = {"lambda_weight": config.lambda_weight}
-            futures = [worker.submit(pair_epoch, s, *args, **kwargs) for s in states[1:]]
-            states = [pair_epoch(states[0], *args, **kwargs),
-                      *(f.result() for f in futures)]
+            if worker is None:
+                states = [pair_epoch(s, *args, **kwargs) for s in states]
+            else:
+                futures = [worker.submit(pair_epoch, s, *args, **kwargs) for s in states[1:]]
+                states = [pair_epoch(states[0], *args, **kwargs),
+                          *(f.result() for f in futures)]
             clean = _epoch_clean([s.epoch_selections for s in states], n)
             clean_masks.append(clean)
             precision = None

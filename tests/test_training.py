@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -346,25 +345,30 @@ def test_train_teachers_per_batch_consensus_equals_per_epoch():
     assert set(np.flatnonzero(result.epoch_clean_masks[-1]).tolist()) == (i_p & i_q)
 
 
-class InlineExecutor:
-    """Runs each submitted call at once, on the calling thread."""
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """Stands in for the bundled OpenBLAS: a thread count of 2, and a list
+    of every count set."""
+    count, sets = [2], []
 
-    def __init__(self, **kwargs):
-        pass
+    def set_(threads):
+        sets.append(threads)
+        count[0] = threads
 
-    def __enter__(self):
-        return self
+    monkeypatch.setattr(training, "_openblas_threads", lambda: (lambda: count[0], set_))
+    return sets
 
-    def __exit__(self, *exc_info):
-        return False
 
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:  # noqa: BLE001 - handed over like the real executor
-            future.set_exception(exc)
-        return future
+def record_pair_threads(monkeypatch):
+    """Wraps pair_epoch; returns {module_kind: set of thread idents that stepped it}."""
+    threads = {}
+
+    def recording(state, *args, **kwargs):
+        threads.setdefault(state.module_kind, set()).add(threading.get_ident())
+        return pair_epoch(state, *args, **kwargs)
+
+    monkeypatch.setattr(training, "pair_epoch", recording)
+    return threads
 
 
 def noisy_teacher_task(seed=30):
@@ -374,21 +378,17 @@ def noisy_teacher_task(seed=30):
     return noisy, synthesize(3, 10, dim=4, separation=2.0, seed=seed + 2), mask
 
 
-def test_train_teachers_concurrent_equals_inline(monkeypatch):
+def test_train_teachers_concurrent_equals_inline(monkeypatch, fake_blas):
     noisy, test, mask = noisy_teacher_task()
     cfg = small_cfg(noise_rate_tau=0.4, hidden_dims=(16, 8), seed=2)
-    threads = {}
-
-    def recording(state, *args, **kwargs):
-        threads.setdefault(state.module_kind, set()).add(threading.get_ident())
-        return pair_epoch(state, *args, **kwargs)
-
-    monkeypatch.setattr(training, "pair_epoch", recording)
+    threads = record_pair_threads(monkeypatch)
     concurrent = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
     # the calling thread steps the joint-loss pair, the worker the other
     assert threads["jocor"] == {threading.get_ident()}
     assert len(threads["coteaching"]) == 1 and threads["coteaching"] != threads["jocor"]
-    monkeypatch.setattr(training, "ThreadPoolExecutor", InlineExecutor)
+    assert fake_blas == [1, 2]
+    # with no OpenBLAS count to pin, both pairs step on the calling thread
+    monkeypatch.setattr(training, "_openblas_threads", lambda: None)
     inline = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
 
     npt.assert_array_equal(concurrent.final_selection.indices, inline.final_selection.indices)
@@ -458,6 +458,29 @@ def test_worker_error_reaches_caller_and_blas_count_restored(monkeypatch, blas_a
         train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
     assert info.value is error
     assert get() == caller_count
+
+
+def test_no_worker_when_no_blas_count_can_be_pinned(monkeypatch):
+    # two pairs on unpinned BLAS each ask for every core and run slower
+    # than one after the other, so no worker is started
+    def no_executor(**kwargs):
+        raise AssertionError("no worker expected")
+
+    monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(training, "ThreadPoolExecutor", no_executor)
+    threads = record_pair_threads(monkeypatch)
+    noisy, _, _ = noisy_teacher_task()
+    train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
+    assert threads == {"jocor": {threading.get_ident()},
+                       "coteaching": {threading.get_ident()}}
+
+
+def test_train_module_leaves_blas_and_threads_alone(monkeypatch, fake_blas):
+    threads = record_pair_threads(monkeypatch)
+    noisy, _, _ = noisy_teacher_task()
+    train_module(small_cfg(noise_rate_tau=0.4), "coteaching", noisy)
+    assert threads == {"coteaching": {threading.get_ident()}}
+    assert fake_blas == []
 
 
 _TEACHER_DIGEST = """
