@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import configparser
 import json
+import os
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
@@ -31,6 +33,7 @@ from .network import TrainConfig, _is_int
 from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     EpochMetrics,
+    _openblas_threads,
     evaluate,
     train_module,
     train_student,
@@ -219,12 +222,16 @@ def load_config(path) -> ExperimentConfig:
                     kind = "a number" if src == "separation" else "an integer"
                     raise ValueError(f"{path}: [data] {src} must be {kind}, got {value!r}")
                 synth[dst] = value
-        if "split_seed" in section:
-            kwargs["split_seed"] = int(section["split_seed"])
+        for src, dst, least in (("split_seed", "split_seed", 0),
+                                ("rebalance", "rebalance_per_class", 1)):
+            if src in section:
+                value = _parse_scalar(section[src])
+                if not (_is_int(value) and value >= least):
+                    raise ValueError(f"{path}: [data] {src} must be an integer "
+                                     f">= {least}, got {value!r}")
+                kwargs[dst] = value
         if "standardize" in section:
             kwargs["standardize"] = _parse_scalar(section["standardize"])
-        if "rebalance" in section:
-            kwargs["rebalance_per_class"] = int(section["rebalance"])
     if parser.has_section("experiment"):
         known = {"method", "noise", "rates", "seeds", "out"}
         unknown = set(parser["experiment"]) - known
@@ -285,18 +292,26 @@ def _final_precision(metrics: List[EpochMetrics], mask) -> float:
     return 1.0 if mask.num_flipped == 0 else metrics[-1].noisy_label_precision
 
 
-def run_cell(method: str, noise_kind: str, rate: float, seed: int,
-             train_set: LabeledDataset, test_set: LabeledDataset,
-             val_set: LabeledDataset, config: ExperimentConfig) -> CellResult:
-    """Execute a single grid cell; exceptions become the cell's error."""
-    cell = CellResult(method, noise_kind, rate, seed)
+def _error(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _inject(cell: CellResult, train_set: LabeledDataset, config: ExperimentConfig):
+    """The noise half of a cell: its TrainConfig and noise mask."""
+    train_cfg = config.train_config(cell.rate, cell.seed)
+    matrix = build_noise_matrix(cell.noise_kind, cell.rate, train_set.num_classes)
+    return train_cfg, inject_noise(train_set.labels, matrix, _noise_seed(cell.seed, cell.rate))
+
+
+def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult:
+    """The training half of a cell, on the (train, test, val) splits with
+    the mask's noisy labels: fills in and returns ``cell``; exceptions
+    become the cell's error."""
+    train_set, test_set, val_set = splits
     try:
-        train_cfg = config.train_config(rate, seed)
-        matrix = build_noise_matrix(noise_kind, rate, train_set.num_classes)
-        mask = inject_noise(train_set.labels, matrix, _noise_seed(seed, rate))
         noisy_train = LabeledDataset(train_set.features, mask.noisy_labels,
                                      train_set.num_classes, train_set.class_names)
-        if method == "jocot":
+        if cell.method == "jocot":
             teachers = train_teachers(train_cfg, noisy_train,
                                       test_set=test_set, noise_mask=mask)
             student = train_student(noisy_train.subset(teachers.final_selection.indices),
@@ -306,7 +321,7 @@ def run_cell(method: str, noise_kind: str, rate: float, seed: int,
             cell.test_acc = evaluate(student.params, test_set)
             cell.noisy_precision = _final_precision(teachers.metrics, mask)
             cell.clean_set_size = len(teachers.final_selection)
-        elif method == "ce_baseline":
+        elif cell.method == "ce_baseline":
             student = train_student(noisy_train, val_set, train_cfg, test_set=test_set)
             cell.student_metrics = student.metrics
             cell.test_acc = evaluate(student.params, test_set)
@@ -314,32 +329,118 @@ def run_cell(method: str, noise_kind: str, rate: float, seed: int,
             cell.noisy_precision = 1.0 if mask.num_flipped == 0 else 0.0
             cell.clean_set_size = len(noisy_train)
         else:
-            module = train_module(train_cfg, method, noisy_train,
+            module = train_module(train_cfg, cell.method, noisy_train,
                                   test_set=test_set, noise_mask=mask)
             cell.teacher_metrics = module.metrics
             cell.test_acc = module.metrics[-1].test_accuracy
             cell.noisy_precision = _final_precision(module.metrics, mask)
             cell.clean_set_size = len(module.final_selection)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        cell.error = f"{type(exc).__name__}: {exc}"
+        cell.error = _error(exc)
     return cell
+
+
+def run_cell(method: str, noise_kind: str, rate: float, seed: int,
+             train_set: LabeledDataset, test_set: LabeledDataset,
+             val_set: LabeledDataset, config: ExperimentConfig) -> CellResult:
+    """Execute a single grid cell in this process, noise then training, as
+    run_experiment does in two halves; exceptions become the cell's error."""
+    cell = CellResult(method, noise_kind, rate, seed)
+    try:
+        train_cfg, mask = _inject(cell, train_set, config)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        cell.error = _error(exc)
+        return cell
+    return _train(cell, train_cfg, mask, (train_set, test_set, val_set))
+
+
+def _cell_workers(method: str, cells: int) -> int:
+    """How many worker processes train a grid's cells: as many as the usable
+    CPUs hold, a jocot cell counting two (its teacher worker thread uses
+    one) and any other cell one. 1 means in-process: fewer than two fit, or
+    no OpenBLAS count can be pinned to one thread per worker."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cells, cpus // (2 if method == "jocot" else 1))
+    if workers < 2 or _openblas_threads() is None:
+        return 1
+    return workers
+
+
+# the grid's splits in a worker process, set once by _start_worker
+_worker_splits = None
+
+
+def _start_worker(splits):
+    """Pool initializer. Keeps the splits for every cell the worker trains,
+    so they are not pickled per cell (under fork they are not pickled at
+    all), and pins OpenBLAS to one thread, so the workers do not each ask
+    for every core."""
+    global _worker_splits
+    _worker_splits = splits
+    blas = _openblas_threads()
+    if blas is not None:
+        blas[1](1)
+
+
+def _train_in_worker(cell: CellResult, train_cfg: TrainConfig, mask) -> CellResult:
+    return _train(cell, train_cfg, mask, _worker_splits)
+
+
+def _trained(jobs, splits, workers: int):
+    """Yield each (cell, train_cfg, mask) job's trained cell, in job order:
+    in this process when ``workers`` is below 2, else from that many worker
+    processes. A worker that dies becomes the error of every cell the pool
+    left unfinished."""
+    if workers < 2:
+        for job in jobs:
+            yield _train(*job, splits)
+        return
+    # imported here: the pool's modules add about 2 MB of resident memory,
+    # which no caller that trains in-process should pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(),
+                             initializer=_start_worker, initargs=(splits,)) as pool:
+        futures = [pool.submit(_train_in_worker, *job) for job in jobs]
+        for (cell, *_), future in zip(jobs, futures):
+            try:
+                yield future.result()
+            except BrokenProcessPool as exc:
+                cell.error = _error(exc)
+                yield cell
 
 
 def run_experiment(config: ExperimentConfig,
                    progress=None) -> ExperimentResult:
     """Run every (rate, seed) cell of the configured method.
 
-    Cell failures are recorded in the per-cell error field; remaining
-    cells still run. ``progress`` is an optional callable fed one line
-    per completed cell.
+    The splits and every cell's label noise are made in this process, in
+    grid order. The cells then train in worker processes when more than
+    one fits the usable CPUs (see _cell_workers), else one after the other
+    here; the results are the same either way. Cell failures are recorded
+    in the per-cell error field; remaining cells still run. ``progress`` is
+    an optional callable fed one line per completed cell, in grid order.
     """
-    train_set, test_set, val_set = _prepare_splits(config)
-    cells = []
+    splits = _prepare_splits(config)
+    cells, jobs = [], []
     for rate in config.rates:
         for seed in config.seeds:
-            cell = run_cell(config.method, config.noise_kind, rate, seed,
-                            train_set, test_set, val_set, config)
+            cell = CellResult(config.method, config.noise_kind, rate, seed)
+            try:
+                jobs.append((cell, *_inject(cell, splits[0], config)))
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                cell.error = _error(exc)
             cells.append(cell)
+    # closing shuts the worker pool down also when progress raises
+    with closing(_trained(jobs, splits, _cell_workers(config.method, len(jobs)))) as trained:
+        for i, cell in enumerate(cells):
+            if cell.error is None:  # its noise is injected, so it has a job
+                cells[i] = cell = next(trained)
             if progress is not None:
                 status = "ok" if cell.succeeded else f"FAILED ({cell.error})"
                 acc = ("" if cell.test_acc is None

@@ -26,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -89,11 +90,40 @@ def _openblas_threads():
     return None
 
 
+class _BlasPin:
+    """Process-wide reference count of the one-thread OpenBLAS pin. The
+    thread count belongs to the process, so callers training on several
+    threads at once share one pin: the first saves the count it found and
+    sets 1, the last restores the saved count."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = None
+
+    def acquire(self, get, set_):
+        with self._lock:
+            if self._holders == 0:
+                self._saved = get()
+                set_(1)
+            self._holders += 1
+
+    def release(self, set_):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0:
+                set_(self._saved)
+
+
+_BLAS_PIN = _BlasPin()
+
+
 @contextmanager
 def _pair_worker(concurrent: bool):
     """A one-thread executor for stepping pairs beside the calling thread,
-    with OpenBLAS pinned to one thread for the block and the caller's count
-    restored after it: two pairs each asking OpenBLAS for every core run
+    with OpenBLAS pinned to one thread for the block through the shared
+    _BLAS_PIN, which restores the caller's count once the last overlapping
+    block has ended: two pairs each asking OpenBLAS for every core run
     slower than one after the other. Yields None, and touches no BLAS
     setting, when ``concurrent`` is false or no bundled OpenBLAS count can
     be pinned; the caller then steps every pair itself."""
@@ -102,15 +132,14 @@ def _pair_worker(concurrent: bool):
         yield None
         return
     get, set_ = blas
-    before = get()
-    set_(1)
+    _BLAS_PIN.acquire(get, set_)
     try:
         # leaving the executor waits for the worker, also when the calling
-        # thread raised; only then is the caller's count restored
+        # thread raised; only then is the pin released
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="jocot-module") as worker:
             yield worker
     finally:
-        set_(before)
+        _BLAS_PIN.release(set_)
 
 
 @dataclass

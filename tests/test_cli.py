@@ -1,5 +1,9 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
+import json
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -67,7 +71,11 @@ def test_run_rejects_train_seed(tmp_path, capsys):
     ("separation = 3.0", "separation = 3.0\nstandardize = no", "standardize"),
     ("hidden_dims = 8", "hidden_dims = 32.7", "hidden_dims"),
     ("per_class = 30", "per_class = 30.5", "per_class"),
-], ids=["seeds", "standardize", "hidden_dims", "per_class"])
+    ("separation = 3.0", "separation = 3.0\nsplit_seed = 1.5", "split_seed"),
+    ("separation = 3.0", "separation = 3.0\nsplit_seed = -3", "split_seed"),
+    ("separation = 3.0", "separation = 3.0\nrebalance = 0", "rebalance"),
+], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
+        "split_seed_negative", "rebalance_zero"])
 def test_run_rejects_values_it_would_coerce(tmp_path, capsys, old, new, key):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace(old, new))
@@ -109,6 +117,36 @@ def test_run_nonzero_exit_when_cell_fails(tmp_path, monkeypatch):
     assert code == 1
     summary = (tmp_path / "results" / "summary.csv").read_text().splitlines()
     assert summary[1].split(",")[4] == ""  # metrics blank for the failed cell
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="a patched function reaches the worker processes only through fork")
+def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
+    import jocot.experiment as experiment
+
+    original = experiment.train_student
+
+    def dying(clean_train, clean_val, cfg, **kw):
+        if cfg.seed == 1:
+            os._exit(1)
+        return original(clean_train, clean_val, cfg, **kw)
+
+    monkeypatch.setattr(experiment, "train_student", dying)
+    monkeypatch.setattr(experiment, "_cell_workers", lambda method, cells: 2)
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config), "--seeds", "1,2"]) == 1
+    out_dir = tmp_path / "results"
+    cells = json.loads((out_dir / "result.json").read_text())["cells"]
+    assert [c["seed"] for c in cells] == [1, 2]
+    # the other cell may have finished before the pool broke, or not
+    assert cells[0]["error"].startswith("BrokenProcessPool: ")
+    assert all(c["error"] is None or c["error"].startswith("BrokenProcessPool: ")
+               for c in cells)
+    summary = (out_dir / "summary.csv").read_text().splitlines()
+    assert len(summary) == 1 + 2 + 1  # header, two cells, one mean row
+    assert summary[1].split(",")[4] == ""
+    succeeded = [c for c in cells if c["error"] is None]
+    assert len(list(out_dir.glob("epochs_*.csv"))) == len(succeeded)
 
 
 def test_run_bad_config_exit_two(tmp_path, capsys):

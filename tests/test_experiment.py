@@ -1,11 +1,14 @@
 """Experiment runner: config parsing, grid execution, metric emission."""
 
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import jocot.experiment as experiment
 from jocot.experiment import (
     CellResult,
     ExperimentConfig,
@@ -22,6 +25,15 @@ from jocot.training import EpochMetrics
 TINY_SYNTH = SyntheticSpec(num_classes=3, per_class=30, dim=4, separation=3.0, seed=0)
 TINY_TRAIN = {"total_epochs": 4, "decay_start_epoch": 3, "batch_size": 16,
               "hidden_dims": (8,)}
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="a patched function reaches the worker processes only through fork")
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(experiment, "_cell_workers", lambda method, cells: workers)
 
 
 def tiny_config(**kw):
@@ -102,10 +114,16 @@ num_gradual_T = 2
     ("data", "standardize = no", "standardize"),
     ("train", "hidden_dims = 32.7", "hidden_dims"),
     ("data", "per_class = 30.5", "per_class"),
-], ids=["seeds", "standardize", "hidden_dims", "per_class"])
+    ("data", "split_seed = 1.5", "split_seed"),
+    ("data", "split_seed = -3", "split_seed"),
+    ("data", "rebalance = 0", "rebalance"),
+], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
+        "split_seed_negative", "rebalance_zero"])
 def test_load_config_rejects_values_it_would_coerce(tmp_path, section, line, key):
     # 1.5 is no seed, "no" is no boolean and 32.7 no layer width: each
-    # used to load as 1, True and 32
+    # used to load as 1, True and 32; a negative split seed and a
+    # rebalance to 0 per class used to load and fail later without naming
+    # their key
     path = tmp_path / "exp.ini"
     path.write_text(f"[{section}]\n{line}\n")
     with pytest.raises(ValueError, match=key):
@@ -174,8 +192,6 @@ def test_run_cell_isolates_failures():
 
 
 def test_run_experiment_continues_after_cell_failure(monkeypatch):
-    import jocot.experiment as experiment
-
     calls = []
     original = experiment.train_student
 
@@ -186,11 +202,66 @@ def test_run_experiment_continues_after_cell_failure(monkeypatch):
         return original(clean_train, clean_val, cfg, **kw)
 
     monkeypatch.setattr(experiment, "train_student", flaky)
+    # in-process: a worker process could not append to calls
+    force_workers(monkeypatch, 1)
     result = run_experiment(tiny_config(method="ce_baseline", seeds=(1, 2)))
     assert [c.succeeded for c in result.cells] == [False, True]
     assert "boom" in result.cells[0].error
     assert not result.all_succeeded
     assert calls == [1, 2]
+
+
+@needs_fork
+def test_worker_processes_isolate_cell_failures(monkeypatch):
+    original = experiment.train_student
+
+    def flaky(clean_train, clean_val, cfg, **kw):
+        if cfg.seed == 1:
+            raise RuntimeError(f"boom in process {os.getpid()}")
+        return original(clean_train, clean_val, cfg, **kw)
+
+    monkeypatch.setattr(experiment, "train_student", flaky)
+    force_workers(monkeypatch, 2)
+    result = run_experiment(tiny_config(method="ce_baseline", seeds=(1, 2)))
+    assert [c.succeeded for c in result.cells] == [False, True]
+    assert result.cells[0].error.startswith("RuntimeError: boom in process ")
+    assert not result.cells[0].error.endswith(f" {os.getpid()}")
+    assert result.cells[1].test_acc is not None
+    assert len(result.cells[1].student_metrics) == 4
+
+
+@pytest.mark.parametrize("method", ["coteachingplus", "ce_baseline", "jocot"])
+def test_outputs_ignore_the_worker_count(tmp_path, monkeypatch, method):
+    cfg = tiny_config(method=method, rates=(0.2, 0.4), seeds=(1, 2))
+    outputs = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        out = tmp_path / str(workers)
+        emit_metrics(run_experiment(cfg), out)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 2 + 4  # summary, result and four epochs files
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("method,cells,cpus,blas,workers", [
+    ("coteaching", 8, 4, True, 4),
+    ("coteaching", 3, 4, True, 3),
+    ("ce_baseline", 1, 4, True, 1),
+    ("jocot", 8, 4, True, 2),  # the teacher worker thread takes a second CPU
+    ("jocot", 8, 3, True, 1),
+    ("coteaching", 8, 4, False, 1),  # no OpenBLAS count to pin per worker
+    ("coteaching", 8, None, True, 2),  # no affinity call: os.cpu_count()
+])
+def test_cell_workers_rule(monkeypatch, method, cells, cpus, blas, workers):
+    monkeypatch.setattr(experiment, "_openblas_threads",
+                        lambda: (None, None) if blas else None)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    assert experiment._cell_workers(method, cells) == workers
 
 
 def test_result_json_round_trip(tmp_path):

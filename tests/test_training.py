@@ -483,6 +483,43 @@ def test_train_module_leaves_blas_and_threads_alone(monkeypatch, fake_blas):
     assert fake_blas == []
 
 
+def test_overlapping_callers_share_one_blas_pin(monkeypatch, fake_blas):
+    # the count is process-wide: a caller that finishes first must not
+    # restore it while the other still trains
+    get = training._openblas_threads()[0]
+    both_pinned = threading.Barrier(2, timeout=60)
+    seen, waited = [], set()
+
+    def recording(state, *args, **kwargs):
+        if state.module_kind == "jocor" and threading.get_ident() not in waited:
+            waited.add(threading.get_ident())
+            both_pinned.wait()
+        seen.append(get())
+        return pair_epoch(state, *args, **kwargs)
+
+    monkeypatch.setattr(training, "pair_epoch", recording)
+    noisy, _, _ = noisy_teacher_task()
+    errors = []
+
+    def train(epochs):
+        try:
+            train_teachers(small_cfg(noise_rate_tau=0.4, total_epochs=epochs,
+                                     decay_start_epoch=1), noisy)
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    callers = [threading.Thread(target=train, args=(epochs,)) for epochs in (2, 8)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert errors == []
+    assert len(seen) == 2 * (2 + 8) and set(seen) == {1}
+    assert fake_blas == [1, 2]
+    assert get() == 2
+
+
 _TEACHER_DIGEST = """
 import hashlib
 import jocot.training as training
