@@ -12,8 +12,10 @@ from __future__ import annotations
 import configparser
 import json
 import os
+from collections import deque
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import List, Optional
 
@@ -354,17 +356,28 @@ def run_cell(method: str, noise_kind: str, rate: float, seed: int,
     return _train(cell, train_cfg, mask, (train_set, test_set, val_set))
 
 
-def _cell_workers(method: str, cells: int) -> int:
-    """How many worker processes train a grid's cells: as many as the usable
-    CPUs hold, a jocot cell counting two (its teacher worker thread uses
-    one) and any other cell one. 1 means in-process: fewer than two fit, or
-    no OpenBLAS count can be pinned to one thread per worker."""
+def _default_start_method() -> str:
+    """The start method a multiprocessing context would use, read without
+    fixing it, so a later set_start_method call by the caller still works."""
+    import multiprocessing
+
+    return (multiprocessing.get_start_method(allow_none=True)
+            or multiprocessing.get_all_start_methods()[0])
+
+
+def _cell_workers(cells: int) -> int:
+    """How many worker processes train a grid's cells: one per usable CPU,
+    at most one per cell. 1 means in-process: fewer than two fit, no
+    OpenBLAS count can be pinned to one thread per worker, or the default
+    start method is not fork. Under spawn or forkserver each worker would
+    re-import the caller's __main__, which breaks scripts that run a grid
+    at module level."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    workers = min(cells, cpus // (2 if method == "jocot" else 1))
-    if workers < 2 or _openblas_threads() is None:
+    workers = min(cells, cpus)
+    if workers < 2 or _openblas_threads() is None or _default_start_method() != "fork":
         return 1
     return workers
 
@@ -389,11 +402,25 @@ def _train_in_worker(cell: CellResult, train_cfg: TrainConfig, mask) -> CellResu
     return _train(cell, train_cfg, mask, _worker_splits)
 
 
+def _submit(pool, job):
+    """Send one (cell, train_cfg, mask) job to the pool; a pool that a dead
+    worker has broken gives a future holding that error."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return pool.submit(_train_in_worker, *job)
+    except BrokenProcessPool as exc:
+        future = Future()
+        future.set_exception(exc)
+        return future
+
+
 def _trained(jobs, splits, workers: int):
     """Yield each (cell, train_cfg, mask) job's trained cell, in job order:
-    in this process when ``workers`` is below 2, else from that many worker
-    processes. A worker that dies becomes the error of every cell the pool
-    left unfinished."""
+    in this process when ``workers`` is below 2, else from that many forked
+    worker processes. A worker that dies becomes the error of every cell the
+    pool left unfinished."""
     if workers < 2:
         for job in jobs:
             yield _train(*job, splits)
@@ -404,15 +431,23 @@ def _trained(jobs, splits, workers: int):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(),
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_worker, initargs=(splits,)) as pool:
-        futures = [pool.submit(_train_in_worker, *job) for job in jobs]
-        for (cell, *_), future in zip(jobs, futures):
+        # No more cells are sent than there are workers, and the next one
+        # only once the consumer asks for it. So when the generator stops
+        # early (progress raised, or Ctrl-C), leaving the pool waits only for
+        # the cells already training, and no queued cell starts.
+        todo = iter(jobs)
+        window = deque(_submit(pool, job) for job in islice(todo, workers))
+        for cell, *_ in jobs:
             try:
-                yield future.result()
+                trained = window.popleft().result()
             except BrokenProcessPool as exc:
                 cell.error = _error(exc)
-                yield cell
+                trained = cell
+            yield trained
+            for job in islice(todo, 1):
+                window.append(_submit(pool, job))
 
 
 def run_experiment(config: ExperimentConfig,
@@ -436,8 +471,9 @@ def run_experiment(config: ExperimentConfig,
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 cell.error = _error(exc)
             cells.append(cell)
-    # closing shuts the worker pool down also when progress raises
-    with closing(_trained(jobs, splits, _cell_workers(config.method, len(jobs)))) as trained:
+    # closing shuts the worker pool down also when progress raises, once
+    # the cells already training are done
+    with closing(_trained(jobs, splits, _cell_workers(len(jobs)))) as trained:
         for i, cell in enumerate(cells):
             if cell.error is None:  # its noise is injected, so it has a job
                 cells[i] = cell = next(trained)

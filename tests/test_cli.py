@@ -1,12 +1,12 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
 import json
-import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+import jocot.experiment as experiment
 from jocot.cli import main
 from jocot.data import load_csv
 
@@ -106,8 +106,6 @@ def test_run_flag_overrides(tmp_path):
 
 
 def test_run_nonzero_exit_when_cell_fails(tmp_path, monkeypatch):
-    import jocot.experiment as experiment
-
     def explode(*args, **kwargs):
         raise RuntimeError("forced failure")
 
@@ -119,11 +117,9 @@ def test_run_nonzero_exit_when_cell_fails(tmp_path, monkeypatch):
     assert summary[1].split(",")[4] == ""  # metrics blank for the failed cell
 
 
-@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
-                    reason="a patched function reaches the worker processes only through fork")
+@pytest.mark.skipif(experiment._default_start_method() != "fork",
+                    reason="cells train in worker processes only where fork is the default")
 def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
-    import jocot.experiment as experiment
-
     original = experiment.train_student
 
     def dying(clean_train, clean_val, cfg, **kw):
@@ -132,7 +128,7 @@ def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
         return original(clean_train, clean_val, cfg, **kw)
 
     monkeypatch.setattr(experiment, "train_student", dying)
-    monkeypatch.setattr(experiment, "_cell_workers", lambda method, cells: 2)
+    monkeypatch.setattr(experiment, "_cell_workers", lambda cells: 2)
     config = write_config(tmp_path)
     assert main(["run", "--config", str(config), "--seeds", "1,2"]) == 1
     out_dir = tmp_path / "results"

@@ -1,9 +1,11 @@
 """Experiment runner: config parsing, grid execution, metric emission."""
 
 import json
-import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +30,12 @@ TINY_TRAIN = {"total_epochs": 4, "decay_start_epoch": 3, "batch_size": 16,
 
 
 needs_fork = pytest.mark.skipif(
-    multiprocessing.get_context().get_start_method() != "fork",
-    reason="a patched function reaches the worker processes only through fork")
+    experiment._default_start_method() != "fork",
+    reason="cells train in worker processes only where fork is the default")
 
 
 def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(experiment, "_cell_workers", lambda method, cells: workers)
+    monkeypatch.setattr(experiment, "_cell_workers", lambda cells: workers)
 
 
 def tiny_config(**kw):
@@ -243,25 +245,62 @@ def test_outputs_ignore_the_worker_count(tmp_path, monkeypatch, method):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("method,cells,cpus,blas,workers", [
-    ("coteaching", 8, 4, True, 4),
-    ("coteaching", 3, 4, True, 3),
-    ("ce_baseline", 1, 4, True, 1),
-    ("jocot", 8, 4, True, 2),  # the teacher worker thread takes a second CPU
-    ("jocot", 8, 3, True, 1),
-    ("coteaching", 8, 4, False, 1),  # no OpenBLAS count to pin per worker
-    ("coteaching", 8, None, True, 2),  # no affinity call: os.cpu_count()
+@needs_fork
+@pytest.mark.parametrize("stop", ["progress", "interrupt"])
+def test_a_grid_stopped_early_starts_no_further_cell(tmp_path, monkeypatch, stop):
+    original = experiment._train
+
+    def marked(cell, train_cfg, mask, splits):
+        (tmp_path / str(cell.seed)).touch()
+        if stop == "interrupt" and cell.seed == 1:
+            raise KeyboardInterrupt  # as Ctrl-C raises it in a worker
+        return original(cell, train_cfg, mask, splits)
+
+    def progress(line):
+        raise RuntimeError("progress failed")
+
+    monkeypatch.setattr(experiment, "_train", marked)
+    force_workers(monkeypatch, 2)
+    cfg = tiny_config(method="ce_baseline", seeds=(1, 2, 3, 4))
+    with pytest.raises(KeyboardInterrupt if stop == "interrupt" else RuntimeError):
+        run_experiment(cfg, progress=progress)
+    # the second cell trained beside the first; the last two never started
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["1", "2"]
+
+
+@pytest.mark.parametrize("cells,cpus,blas,start,workers", [
+    (8, 4, True, "fork", 4),
+    (3, 4, True, "fork", 3),
+    (1, 4, True, "fork", 1),
+    (8, 1, True, "fork", 1),
+    (8, 4, False, "fork", 1),  # no OpenBLAS count to pin per worker
+    (8, 4, True, "spawn", 1),  # workers would re-import the caller's __main__
+    (8, 4, True, "forkserver", 1),
+    (8, None, True, "fork", 2),  # no affinity call: os.cpu_count()
 ])
-def test_cell_workers_rule(monkeypatch, method, cells, cpus, blas, workers):
+def test_cell_workers_rule(monkeypatch, cells, cpus, blas, start, workers):
     monkeypatch.setattr(experiment, "_openblas_threads",
                         lambda: (None, None) if blas else None)
+    monkeypatch.setattr(experiment, "_default_start_method", lambda: start)
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-    assert experiment._cell_workers(method, cells) == workers
+    assert experiment._cell_workers(cells) == workers
+
+
+def test_reading_the_start_method_leaves_it_unset():
+    # a caller may still choose its own start method after a grid has run
+    code = ("import multiprocessing, jocot.experiment as e; e._default_start_method(); "
+            "multiprocessing.set_start_method('spawn')")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_result_json_round_trip(tmp_path):
