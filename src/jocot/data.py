@@ -87,6 +87,43 @@ def _parse_header(header, path):
     return d
 
 
+# what numpy's reader raises on a body it cannot parse; numpy 1.23-1.26
+# read "3.0" into an integer column with a DeprecationWarning, made an error
+_PARSE_ERRORS = (ValueError, OverflowError, DeprecationWarning)
+
+
+def _parse_rows(source, d: int) -> np.ndarray:
+    """Body rows as one structured array with fields features (d floats)
+    and label, parsed by numpy's C reader from a file or list of lines."""
+    dtype = np.dtype([("features", np.float64, (d,)), ("label", np.intp)])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
+
+
+def _raise_first_bad_line(path, d: int):
+    """Re-read the body line by line to name the first line that the bulk
+    parse rejects or that holds a non-finite value."""
+    with open(path, newline="") as fh:
+        next(csv.reader(fh), None)
+        for lineno, line in enumerate(fh, start=2):
+            row = next(csv.reader([line]), [])
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise ValueError(f"{path}:{lineno}: expected {d + 1} columns, got {len(row)}")
+            try:
+                rows = _parse_rows([line], d)
+            except _PARSE_ERRORS:
+                raise ValueError(f"{path}:{lineno}: malformed numeric value") from None
+            if not np.isfinite(rows["features"]).all():
+                raise ValueError(f"{path}:{lineno}: non-finite feature value")
+    raise ValueError(f"{path}: malformed CSV body")
+
+
 def load_csv(path, expected_features: Optional[int] = None) -> LabeledDataset:
     """Parse a feature CSV; errors carry the offending line number.
 
@@ -97,37 +134,27 @@ def load_csv(path, expected_features: Optional[int] = None) -> LabeledDataset:
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        d = _parse_header(header, path)
+        d = _parse_header(next(csv.reader(fh), None), path)
         if expected_features is not None and d != expected_features:
             raise ValueError(
                 f"{path}: schema error, expected {expected_features} feature "
                 f"columns, found {d}"
             )
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise ValueError(f"{path}:{lineno}: expected {d + 1} columns, got {len(row)}")
-            try:
-                values = [float(v) for v in row[:-1]]
-                label = int(row[-1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed numeric value") from None
-            if not all(np.isfinite(values)):
-                raise ValueError(f"{path}:{lineno}: non-finite feature value")
-            feats.append(values)
-            labels.append(label)
-    if not feats:
+        try:
+            rows = _parse_rows(fh, d)
+        except _PARSE_ERRORS:
+            rows = None
+    if rows is None or not np.isfinite(rows["features"]).all():
+        _raise_first_bad_line(path, d)
+    if not rows.size:
         raise ValueError(f"{path}: no data rows")
-    labels_arr = np.array(labels, dtype=np.intp)
-    if labels_arr.min() < 0:
+    labels = np.ascontiguousarray(rows["label"])
+    if labels.min() < 0:
         raise ValueError(f"{path}: negative labels")
-    if labels_arr.min() >= 1:
-        labels_arr = labels_arr - 1  # 1-based file
-    return LabeledDataset(np.array(feats), labels_arr, int(labels_arr.max()) + 1)
+    if labels.min() >= 1:
+        labels = labels - 1  # 1-based file
+    return LabeledDataset(np.ascontiguousarray(rows["features"]), labels,
+                          int(labels.max()) + 1)
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
@@ -136,8 +163,8 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     d = dataset.feature_dim
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+        fh.writelines(",".join(map(repr, row)) + f",{label}\n"
+                      for row, label in zip(dataset.features.tolist(), dataset.labels.tolist()))
 
 
 def rebalance(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:

@@ -198,7 +198,10 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:  # a key given twice, no [section] header
+        raise ValueError(f"{path}: {exc}") from None
     unknown_sections = set(parser.sections()) - {"data", "experiment", "train"}
     if unknown_sections:
         raise ValueError(f"{path}: unknown sections {sorted(unknown_sections)}")
@@ -215,8 +218,7 @@ def load_config(path) -> ExperimentConfig:
         if "csv" in section:
             kwargs["csv_path"] = section["csv"].strip()
         for src, dst in (("classes", "num_classes"), ("per_class", "per_class"),
-                         ("dim", "dim"), ("separation", "separation"),
-                         ("data_seed", "seed")):
+                         ("dim", "dim"), ("separation", "separation")):
             if src in section:
                 value = _parse_scalar(section[src])
                 number = src == "separation" and isinstance(value, float)
@@ -224,14 +226,15 @@ def load_config(path) -> ExperimentConfig:
                     kind = "a number" if src == "separation" else "an integer"
                     raise ValueError(f"{path}: [data] {src} must be {kind}, got {value!r}")
                 synth[dst] = value
-        for src, dst, least in (("split_seed", "split_seed", 0),
-                                ("rebalance", "rebalance_per_class", 1)):
+        for src, target, dst, least in (("data_seed", synth, "seed", 0),
+                                        ("split_seed", kwargs, "split_seed", 0),
+                                        ("rebalance", kwargs, "rebalance_per_class", 1)):
             if src in section:
                 value = _parse_scalar(section[src])
                 if not (_is_int(value) and value >= least):
                     raise ValueError(f"{path}: [data] {src} must be an integer "
                                      f">= {least}, got {value!r}")
-                kwargs[dst] = value
+                target[dst] = value
         if "standardize" in section:
             kwargs["standardize"] = _parse_scalar(section["standardize"])
     if parser.has_section("experiment"):

@@ -74,13 +74,25 @@ def test_run_rejects_train_seed(tmp_path, capsys):
     ("separation = 3.0", "separation = 3.0\nsplit_seed = 1.5", "split_seed"),
     ("separation = 3.0", "separation = 3.0\nsplit_seed = -3", "split_seed"),
     ("separation = 3.0", "separation = 3.0\nrebalance = 0", "rebalance"),
+    ("separation = 3.0", "separation = 3.0\ndata_seed = -3", "data_seed"),
 ], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
-        "split_seed_negative", "rebalance_zero"])
+        "split_seed_negative", "rebalance_zero", "data_seed_negative"])
 def test_run_rejects_values_it_would_coerce(tmp_path, capsys, old, new, key):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace(old, new))
     assert main(["run", "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,words", [
+    ("classes = 3", "classes = 3\nclasses = 4", "'classes'"),
+    ("[data]\n", "", "no section headers"),
+], ids=["duplicate_key", "no_section_header"])
+def test_run_exits_2_on_an_unreadable_config(tmp_path, capsys, old, new, words):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    assert main(["run", "--config", str(path)]) == 2
+    assert words in capsys.readouterr().err
 
 
 def test_run_rejects_rates_sharing_a_noise_stream(tmp_path, capsys):

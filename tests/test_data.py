@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jocot.data import (
     LabeledDataset,
@@ -102,6 +103,65 @@ def test_save_load_round_trip_bitwise(tmp_path):
     back = load_csv(path)
     npt.assert_array_equal(back.features, ds.features)
     npt.assert_array_equal(back.labels, ds.labels)
+
+
+_GOOD = ([[0.5, 1.0], [2.0, -3.0]], [0, 1])
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("f0,f1,label\r\n0.5,1.0,0\r\n2.0,-3.0,1\r\n", _GOOD),
+    ("f0,f1,label\n0.5,1.0,0\n\n\n2.0,-3.0,1\n", _GOOD),
+    ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,1", _GOOD),
+    ('f0,f1,label\n"0.5","1.0",0\n2.0,"-3.0","1"\n', _GOOD),
+    ("f0,f1,label\n 0.5 ,1.0 , 0\n2.0, -3.0,1 \n", _GOOD),
+    ("f0,f1,label\r0.5,1.0,0\r2.0,-3.0,1\r", _GOOD),
+    ("f0,f1,label\n0.5,1.0,0\n#2.0,-3.0,1\n", ":3: malformed numeric value"),
+    ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,3.0\n", ":3: malformed numeric value"),
+    ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,12345678901234567890\n",
+     ":3: malformed numeric value"),
+    ("f0,f1,label\n1_0,1.0,0\n", ":2: malformed numeric value"),
+    ("f0,f1,label\n0.5,1.0,0\n\nnan,-3.0,1\n", ":4: non-finite feature value"),
+    ("f0,f1,label\r\n0.5,1.0,0\r\n  \r\n2.0,-3.0,1\r\n", ":3: expected 3 columns, got 1"),
+    ("f0,f1,label\n", "no data rows"),
+], ids=["crlf", "blank_lines", "no_final_newline", "double_quotes", "spaces", "bare_cr",
+        "comment_row", "float_label", "label_overflow", "digit_grouping",
+        "nan_after_blank_line", "whitespace_line", "header_only"])
+def test_load_csv_dialect(tmp_path, text, expected):
+    # comments are not skipped, labels are integers written as such, and
+    # every error is a ValueError naming the file line, blank lines counted
+    path = tmp_path / "dialect.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            load_csv(path)
+        return
+    ds = load_csv(path)
+    npt.assert_array_equal(ds.features, expected[0])
+    npt.assert_array_equal(ds.labels, expected[1])
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.tuples(hnp.arrays(np.float64, d, elements=_finite), st.integers(0, 20)),
+    min_size=1, max_size=6)))
+@example([(np.array([-0.0, 0.0, 5e-324]), 3),
+          (np.array([1.7976931348623157e308, -2.2250738585072014e-308, 1e-300]), 7)])
+def test_save_load_round_trip_is_bitwise_for_any_finite_matrix(tmp_path_factory, rows):
+    features = np.stack([row for row, _ in rows])
+    labels = np.array([label for _, label in rows])
+    ds = LabeledDataset(features, labels, int(labels.max()) + 1)
+    path = tmp_path_factory.mktemp("round") / "round.csv"
+    save_csv(ds, path)
+    # the rows are shortest-repr floats, as the format has always been written
+    header = ",".join([f"f{i}" for i in range(features.shape[1])] + ["label"]) + "\n"
+    body = "".join(",".join(repr(float(v)) for v in row) + f",{int(label)}\n"
+                   for row, label in zip(features, labels))
+    assert path.read_bytes() == (header + body).encode()
+    back = load_csv(path)
+    assert back.features.tobytes() == features.tobytes()
+    npt.assert_array_equal(back.labels, labels - 1 if labels.min() >= 1 else labels)
 
 
 def test_rebalance_exact_counts():

@@ -119,17 +119,32 @@ num_gradual_T = 2
     ("data", "split_seed = 1.5", "split_seed"),
     ("data", "split_seed = -3", "split_seed"),
     ("data", "rebalance = 0", "rebalance"),
+    ("data", "data_seed = -3", "data_seed"),
 ], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
-        "split_seed_negative", "rebalance_zero"])
+        "split_seed_negative", "rebalance_zero", "data_seed_negative"])
 def test_load_config_rejects_values_it_would_coerce(tmp_path, section, line, key):
     # 1.5 is no seed, "no" is no boolean and 32.7 no layer width: each
-    # used to load as 1, True and 32; a negative split seed and a
+    # used to load as 1, True and 32; a negative split or data seed and a
     # rebalance to 0 per class used to load and fail later without naming
     # their key
     path = tmp_path / "exp.ini"
     path.write_text(f"[{section}]\n{line}\n")
     with pytest.raises(ValueError, match=key):
         load_config(path)
+
+
+@pytest.mark.parametrize("text,words", [
+    ("[data]\nclasses = 3\nclasses = 4\n", "'classes'"),
+    ("classes = 3\n", "no section headers"),
+], ids=["duplicate_key", "no_section_header"])
+def test_load_config_unreadable_file_is_a_value_error(tmp_path, text, words):
+    # configparser's own errors used to escape as DuplicateOptionError and
+    # MissingSectionHeaderError, which are no ValueError
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=words) as info:
+        load_config(path)
+    assert str(path) in str(info.value)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
