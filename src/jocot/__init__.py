@@ -54,16 +54,12 @@ from .noise import (
     NoiseMatrix,
     build_noise_matrix,
     inject_noise,
-    load_noise_mask,
     noisy_label_precision,
-    save_noise_mask,
 )
 from .selection import (
     SelectionSet,
     consensus,
-    load_selection,
     remember_rate,
-    save_selection,
     small_loss_select,
 )
 from .training import (
@@ -75,10 +71,8 @@ from .training import (
     TeachersResult,
     evaluate,
     init_teacher_state,
-    load_checkpoint,
     make_batches,
     pair_epoch,
-    save_checkpoint,
     train_module,
     train_student,
     train_teachers,

@@ -3,8 +3,8 @@
 The on-disk format is a single CSV schema: header ``f0,...,f{d-1},label``,
 one sample per row, decimal feature values, integer label (1-based files
 are re-indexed to 0-based on load). The canonical skeleton layout has 51
-features (17 landmarks x 3 values); other widths are accepted when the
-caller does not pin one.
+features (17 landmarks x 3 values); the width of a file is taken from
+its header.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,6 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    class_names: Optional[list] = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -38,8 +36,6 @@ class LabeledDataset:
             raise ValueError("feature and label counts differ")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"labels must lie in [0, {self.num_classes - 1}]")
-        if self.class_names is not None and len(self.class_names) != self.num_classes:
-            raise ValueError("class_names length must equal num_classes")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -53,7 +49,7 @@ class LabeledDataset:
             raise ValueError("subset takes sample indices, not a boolean mask")
         idx = np.asarray(indices, dtype=np.intp)
         return LabeledDataset(self.features[idx].copy(), self.labels[idx].copy(),
-                              self.num_classes, self.class_names)
+                              self.num_classes)
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
@@ -124,22 +120,15 @@ def _raise_first_bad_line(path, d: int):
     raise ValueError(f"{path}: malformed CSV body")
 
 
-def load_csv(path, expected_features: Optional[int] = None) -> LabeledDataset:
+def load_csv(path) -> LabeledDataset:
     """Parse a feature CSV; errors carry the offending line number.
 
-    With ``expected_features`` set (e.g. 51 for the canonical skeleton
-    layout) a differing column count is a schema error; by default the
-    width is taken from the header. Files labeled 1..M are shifted to
+    The width is taken from the header. Files labeled 1..M are shifted to
     0..M-1, detected by the absence of label 0.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         d = _parse_header(next(csv.reader(fh), None), path)
-        if expected_features is not None and d != expected_features:
-            raise ValueError(
-                f"{path}: schema error, expected {expected_features} feature "
-                f"columns, found {d}"
-            )
         try:
             rows = _parse_rows(fh, d)
         except _PARSE_ERRORS:
@@ -268,5 +257,4 @@ class Standardizer:
 
     def transform(self, dataset: LabeledDataset) -> LabeledDataset:
         return LabeledDataset((dataset.features - self.mean) / self.std,
-                              dataset.labels.copy(), dataset.num_classes,
-                              dataset.class_names)
+                              dataset.labels.copy(), dataset.num_classes)

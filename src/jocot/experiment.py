@@ -79,6 +79,8 @@ class ExperimentConfig:
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
         self.rates = tuple(float(r) for r in self.rates)
+        if not self.rates:
+            raise ValueError("rates must hold at least one noise rate")
         if any(not 0.0 <= r < 1.0 for r in self.rates):
             raise ValueError("every noise rate must lie in [0, 1)")
         streams = {}
@@ -93,6 +95,9 @@ class ExperimentConfig:
         if not all(_is_int(s) for s in self.seeds):
             raise ValueError(f"seeds must be integers, got {self.seeds!r}")
         self.seeds = tuple(int(s) for s in self.seeds)
+        if len(set(self.seeds)) != len(self.seeds):
+            # two cells of one seed share a cell_id and its epochs file
+            raise ValueError(f"seeds must differ, got {self.seeds!r}")
         if not isinstance(self.standardize, bool):
             raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
         valid = {f.name for f in fields(TrainConfig)}
@@ -315,7 +320,7 @@ def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult
     train_set, test_set, val_set = splits
     try:
         noisy_train = LabeledDataset(train_set.features, mask.noisy_labels,
-                                     train_set.num_classes, train_set.class_names)
+                                     train_set.num_classes)
         if cell.method == "jocot":
             teachers = train_teachers(train_cfg, noisy_train,
                                       test_set=test_set, noise_mask=mask)

@@ -18,6 +18,11 @@ import numpy as np
 # loss_fn(probs[n, M]) -> (losses[n], dlosses_dprobs[n, M])
 ProbLossFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+# Adam's moment decay rates and the floor added to its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class ModelParams:
     """Weights and biases of one network in one contiguous float64 vector.
@@ -63,17 +68,6 @@ class ModelParams:
         # pickle and deepcopy rebuild the layer views into the one copied vector
         return type(self).from_flat, (self.layer_dims, self.flat)
 
-    def validate(self) -> None:
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("need one bias vector per weight matrix")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape[1] != b.shape[0]:
-                raise ValueError(f"layer {i}: weight fan-out {w.shape[1]} != bias size {b.shape[0]}")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
-                raise ValueError(f"layer {i}: fan-in {w.shape[0]} does not match previous fan-out")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i}: non-finite parameter values")
-
 
 @dataclass
 class OptimizerState:
@@ -82,9 +76,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def copy(self) -> "OptimizerState":
         return replace(self, m=self.m.copy(), v=self.v.copy())
@@ -222,10 +213,8 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossF
     return out, losses
 
 
-def adam_init(params: ModelParams, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> OptimizerState:
-    return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat),
-                          step_count=0, beta1=beta1, beta2=beta2, epsilon=epsilon)
+def adam_init(params: ModelParams) -> OptimizerState:
+    return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(params: ModelParams, state: OptimizerState, grads: ModelParams,
@@ -244,7 +233,7 @@ def adam_step(params: ModelParams, state: OptimizerState, grads: ModelParams,
         raise ValueError(f"scratch must be a (2, {params.flat.size}) float64 array, "
                          f"got {scratch.dtype} {scratch.shape}")
     state.step_count += 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     c1 = 1.0 - b1 ** state.step_count
     c2 = 1.0 - b2 ** state.step_count
     g, m, v = grads.flat, state.m, state.v

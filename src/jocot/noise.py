@@ -8,9 +8,7 @@ the ground truth against which clean-instance mining is scored.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -113,28 +111,3 @@ def noisy_label_precision(judged_noisy: np.ndarray, mask: NoiseMask) -> float:
         raise ValueError("undefined metric: mask contains no flipped samples")
     return int(np.count_nonzero(judged_noisy & mask.flipped)) / mask.num_flipped
 
-
-def save_noise_mask(mask: NoiseMask, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "true_label", "noisy_label", "flipped"])
-        for i in range(mask.true_labels.shape[0]):
-            writer.writerow([i, int(mask.true_labels[i]), int(mask.noisy_labels[i]),
-                             int(mask.flipped[i])])
-
-
-def load_noise_mask(path) -> NoiseMask:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "true_label", "noisy_label", "flipped"]:
-            raise ValueError(f"{path}: unexpected noise-mask header {header}")
-        true_l, noisy_l, flipped = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            true_l.append(int(row[1]))
-            noisy_l.append(int(row[2]))
-            flipped.append(bool(int(row[3])))
-    return NoiseMask(np.array(true_l), np.array(noisy_l), np.array(flipped))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 
@@ -89,16 +88,3 @@ def consensus(*pairs) -> np.ndarray:
     inner = [np.intersect1d(a, b, assume_unique=True) for a, b in pairs]
     return reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), inner)
 
-
-def save_selection(selection: SelectionSet, path) -> None:
-    """One index per line."""
-    Path(path).write_text("".join(f"{i}\n" for i in selection.indices.tolist()))
-
-
-def load_selection(path) -> SelectionSet:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    try:
-        indices = [int(ln) for ln in lines]
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-integer selection line ({exc})") from None
-    return SelectionSet(indices)

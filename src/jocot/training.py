@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -457,48 +456,3 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
         ))
     return StudentResult(best_params, metrics, best_epoch, best_val)
 
-
-CHECKPOINT_VERSION = "jocot-checkpoint-2"
-
-
-def save_checkpoint(path, params: ModelParams, opt: Optional[OptimizerState] = None,
-                    rng_state: Optional[dict] = None) -> None:
-    """npz with a version header: layer_dims and the flat parameters,
-    optionally the flat Adam moments and a JSON-encoded RNG state."""
-    arrays = {
-        "version": np.array(CHECKPOINT_VERSION),
-        "layer_dims": np.array(params.layer_dims),
-        "params": params.flat,
-    }
-    if opt is not None:
-        arrays["step_count"] = np.array(opt.step_count)
-        arrays["adam_hyper"] = np.array([opt.beta1, opt.beta2, opt.epsilon])
-        arrays["m"] = opt.m
-        arrays["v"] = opt.v
-    if rng_state is not None:
-        arrays["rng_state"] = np.array(json.dumps(rng_state))
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (params, opt|None, rng_state|None).
-    Raises ValueError on a file this version did not write or whose arrays
-    do not fit together."""
-    with np.load(path, allow_pickle=False) as data:
-        version = str(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version!r}")
-        dims = data["layer_dims"]
-        if dims.ndim != 1 or dims.dtype.kind not in "iu":
-            raise ValueError(f"layer_dims must be a vector of integers, got {dims!r}")
-        params = ModelParams.from_flat(dims.tolist(), data["params"])
-        params.validate()
-        opt = None
-        if "step_count" in data:
-            b1, b2, eps = (float(v) for v in data["adam_hyper"])
-            opt = OptimizerState(data["m"], data["v"], int(data["step_count"]), b1, b2, eps)
-            if opt.m.shape != params.flat.shape or opt.v.shape != params.flat.shape:
-                raise ValueError(f"Adam moments of shapes {opt.m.shape} and {opt.v.shape} "
-                                 f"do not match parameters of shape {params.flat.shape}")
-        rng_state = json.loads(str(data["rng_state"])) if "rng_state" in data else None
-    return params, opt, rng_state

@@ -75,8 +75,11 @@ def test_run_rejects_train_seed(tmp_path, capsys):
     ("separation = 3.0", "separation = 3.0\nsplit_seed = -3", "split_seed"),
     ("separation = 3.0", "separation = 3.0\nrebalance = 0", "rebalance"),
     ("separation = 3.0", "separation = 3.0\ndata_seed = -3", "data_seed"),
+    ("seeds = 1", "seeds = 1, 1", "seeds"),
+    ("rates = 0.2", "rates = ", "rates"),
 ], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
-        "split_seed_negative", "rebalance_zero", "data_seed_negative"])
+        "split_seed_negative", "rebalance_zero", "data_seed_negative",
+        "seeds_duplicate", "rates_empty"])
 def test_run_rejects_values_it_would_coerce(tmp_path, capsys, old, new, key):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace(old, new))

@@ -43,12 +43,14 @@ def test_load_csv_three_rows_exact(tmp_path):
 
 
 def test_load_csv_wrong_width_schema_error(tmp_path):
+    # the header fixes the width: a 50-feature file loads at width 50, and a
+    # row of the canonical 51 features in it is an error on its line
     path = tmp_path / "narrow.csv"
     write_csv(path, 50, [",".join(["0.0"] * 50) + ",1"])
-    with pytest.raises(ValueError, match="expected 51"):
-        load_csv(path, expected_features=51)
-    # without a pinned width the 50-feature file is accepted
     assert load_csv(path).feature_dim == 50
+    write_csv(path, 50, [",".join(["0.0"] * 51) + ",1"])
+    with pytest.raises(ValueError, match=":2: expected 51 columns, got 52"):
+        load_csv(path)
 
 
 def test_load_csv_one_based_labels_shift(tmp_path):

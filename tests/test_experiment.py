@@ -120,13 +120,17 @@ num_gradual_T = 2
     ("data", "split_seed = -3", "split_seed"),
     ("data", "rebalance = 0", "rebalance"),
     ("data", "data_seed = -3", "data_seed"),
+    ("experiment", "seeds = 1, 1", "seeds"),
+    ("experiment", "rates = ", "rates"),
 ], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
-        "split_seed_negative", "rebalance_zero", "data_seed_negative"])
+        "split_seed_negative", "rebalance_zero", "data_seed_negative",
+        "seeds_duplicate", "rates_empty"])
 def test_load_config_rejects_values_it_would_coerce(tmp_path, section, line, key):
     # 1.5 is no seed, "no" is no boolean and 32.7 no layer width: each
     # used to load as 1, True and 32; a negative split or data seed and a
     # rebalance to 0 per class used to load and fail later without naming
-    # their key
+    # their key; a repeated seed ran one cell twice under one cell_id, and
+    # no rates ran a grid of no cells
     path = tmp_path / "exp.ini"
     path.write_text(f"[{section}]\n{line}\n")
     with pytest.raises(ValueError, match=key):
@@ -191,9 +195,10 @@ def test_run_experiment_jocot_cell_contents():
 
 
 def test_run_experiment_empty_grid():
-    result = run_experiment(tiny_config(rates=()))
-    assert result.cells == []
-    assert result.all_succeeded
+    # a grid without rates would run no cell and report success, so it is
+    # refused when configured, like a grid without seeds
+    with pytest.raises(ValueError, match="rates"):
+        tiny_config(rates=())
 
 
 def test_run_cell_isolates_failures():
@@ -348,7 +353,7 @@ def test_emit_metrics_files(tmp_path):
 
 
 def test_emit_metrics_empty_grid_header_only(tmp_path):
-    result = run_experiment(tiny_config(rates=()))
+    result = ExperimentResult("0", tiny_config().to_dict(), [])
     emit_metrics(result, tmp_path / "empty")
     summary = (tmp_path / "empty" / "summary.csv").read_text().splitlines()
     assert len(summary) == 1

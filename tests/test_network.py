@@ -304,11 +304,3 @@ def test_model_params_copies_keep_views_into_flat(clone):
     q.flat += 1.0  # an in-place update must reach forward through the views
     assert not np.array_equal(forward(q, x), before)
     npt.assert_array_equal(forward(params, x), before)
-
-
-def test_model_params_validate():
-    params, _ = make_net([3, 4, 2], 8)
-    params.validate()
-    params.weights[1] = np.zeros((5, 2))
-    with pytest.raises(ValueError, match="fan-in"):
-        params.validate()

@@ -10,9 +10,7 @@ from jocot.noise import (
     NoiseMask,
     build_noise_matrix,
     inject_noise,
-    load_noise_mask,
     noisy_label_precision,
-    save_noise_mask,
 )
 
 
@@ -168,31 +166,6 @@ def test_precision_rejects_index_arrays():
 def test_mask_invariant_enforced():
     with pytest.raises(ValueError, match="flipped"):
         NoiseMask(np.array([0, 1]), np.array([0, 2]), np.array([True, True]))
-
-
-def test_mask_csv_round_trip(tmp_path):
-    labels = np.tile(np.arange(5), 20)
-    mask = inject_noise(labels, build_noise_matrix("pairflip", 0.3, 5), seed=9)
-    path = tmp_path / "mask.csv"
-    save_noise_mask(mask, path)
-    loaded = load_noise_mask(path)
-    npt.assert_array_equal(loaded.true_labels, mask.true_labels)
-    npt.assert_array_equal(loaded.noisy_labels, mask.noisy_labels)
-    npt.assert_array_equal(loaded.flipped, mask.flipped)
-
-
-def test_mask_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c,d\n0,0,0,0\n")
-    with pytest.raises(ValueError, match="header"):
-        load_noise_mask(path)
-
-
-def test_mask_csv_rejects_short_row(tmp_path):
-    path = tmp_path / "bad2.csv"
-    path.write_text("index,true_label,noisy_label,flipped\n0,0,0\n")
-    with pytest.raises(ValueError, match=":2"):
-        load_noise_mask(path)
 
 
 # property tests: the oracles are Python sets and plain label comparisons

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from jocot.selection import (
     SelectionSet,
     consensus,
-    load_selection,
     remember_rate,
-    save_selection,
     small_loss_select,
 )
 
@@ -148,13 +146,9 @@ def test_selection_set_normalizes_and_validates():
         SelectionSet(np.array([True, False]))
 
 
-def test_selection_set_rejects_negative_indices(tmp_path):
+def test_selection_set_rejects_negative_indices():
     with pytest.raises(ValueError, match="negative"):
         SelectionSet((4, -1))
-    path = tmp_path / "sel.csv"
-    path.write_text("3\n-1\n")
-    with pytest.raises(ValueError, match="negative"):
-        load_selection(path)
 
 
 def test_inner_consensus_examples():
@@ -186,25 +180,6 @@ def test_consensus_equals_four_way_intersection_random(a, b, c, d):
     arrays = [np.array(s, dtype=np.intp) for s in (a, b, c, d)]
     composed = consensus((arrays[0], arrays[1]), (arrays[2], arrays[3])).tolist()
     assert composed == sorted(set(a) & set(b) & set(c) & set(d))
-
-
-def test_selection_csv_round_trip(tmp_path):
-    sel = SelectionSet(np.arange(0, 50, 3))
-    path = tmp_path / "sel.csv"
-    save_selection(sel, path)
-    loaded = load_selection(path)
-    assert loaded == sel
-    assert path.read_text().splitlines()[0] == "0"
-
-
-def test_selection_csv_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1\ntwo\n")
-    with pytest.raises(ValueError, match="non-integer"):
-        load_selection(path)
-    path.write_text("1\n" + "9" * 30 + "\n")
-    with pytest.raises(ValueError, match="index vector"):
-        load_selection(path)
 
 
 # property tests: the oracle is a plain sort of (loss, key) pairs

@@ -32,10 +32,8 @@ from jocot.training import (
     TeacherState,
     evaluate,
     init_teacher_state,
-    load_checkpoint,
     make_batches,
     pair_epoch,
-    save_checkpoint,
     train_module,
     train_student,
     train_teachers,
@@ -641,88 +639,6 @@ def test_epoch_metrics_bounds():
         EpochMetrics(epoch=0, test_accuracy=1.5)
     with pytest.raises(ValueError, match="precision"):
         EpochMetrics(epoch=0, noisy_label_precision=-0.1)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(25)
-    params = init_params([4, 6, 3], rng)
-    opt = adam_init(params)
-    grads, _ = gradient(params, activations(params, rng.normal(size=(5, 4))),
-                        make_ce_loss_fn(rng.integers(0, 3, 5)))
-    adam_step(params, opt, grads, 1e-3)
-    rng_state = rng.bit_generator.state
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, opt, rng_state)
-    p2, o2, r2 = load_checkpoint(path)
-    for a, b in zip(params.weights + params.biases, p2.weights + p2.biases):
-        npt.assert_array_equal(a, b)
-    for a, b in ((opt.m, o2.m), (opt.v, o2.v)):
-        npt.assert_array_equal(a, b)
-    assert o2.step_count == 1
-    assert r2["state"]["state"] == rng_state["state"]["state"]
-
-
-def test_checkpoint_params_only(tmp_path):
-    params = init_params([3, 2], np.random.default_rng(26))
-    path = tmp_path / "bare.npz"
-    save_checkpoint(path, params)
-    p2, o2, r2 = load_checkpoint(path)
-    assert o2 is None and r2 is None
-    npt.assert_array_equal(p2.weights[0], params.weights[0])
-
-
-def test_checkpoint_version_rejected(tmp_path):
-    # includes the per-layer layout that version 1 wrote
-    path = tmp_path / "bad.npz"
-    for version in ("someone-elses-format", "jocot-checkpoint-1"):
-        np.savez(path, version=np.array(version), n_layers=np.array(1),
-                 w0=np.zeros((2, 2)), b0=np.zeros(2))
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
-
-
-def _rewrite_checkpoint(src, dst, **replace_arrays):
-    with np.load(src) as data:
-        arrays = {key: data[key] for key in data.files}
-    np.savez(dst, **{**arrays, **replace_arrays})
-
-
-@pytest.fixture
-def saved_checkpoint(tmp_path):
-    params = init_params([4, 6, 3], np.random.default_rng(28))
-    path = tmp_path / "good.npz"
-    save_checkpoint(path, params, adam_init(params))
-    return path, params
-
-
-def test_checkpoint_layer_dims_mismatch_rejected(saved_checkpoint, tmp_path):
-    path, params = saved_checkpoint
-    bad = tmp_path / "short.npz"
-    _rewrite_checkpoint(path, bad, params=params.flat[:-1])
-    with pytest.raises(ValueError, match="does not fit"):
-        load_checkpoint(bad)
-    _rewrite_checkpoint(path, bad, layer_dims=np.array([4.5, 6.0, 3.0]))
-    with pytest.raises(ValueError, match="layer_dims"):
-        load_checkpoint(bad)
-
-
-def test_checkpoint_moment_shape_rejected(saved_checkpoint, tmp_path):
-    path, params = saved_checkpoint
-    for key in ("m", "v"):
-        bad = tmp_path / f"bad_{key}.npz"
-        _rewrite_checkpoint(path, bad, **{key: np.zeros(params.flat.size + 1)})
-        with pytest.raises(ValueError, match="Adam moments"):
-            load_checkpoint(bad)
-
-
-def test_checkpoint_nonfinite_params_rejected(saved_checkpoint, tmp_path):
-    path, params = saved_checkpoint
-    bad = tmp_path / "nan.npz"
-    flat = params.flat.copy()
-    flat[-1] = np.nan
-    _rewrite_checkpoint(path, bad, params=flat)
-    with pytest.raises(ValueError, match="non-finite"):
-        load_checkpoint(bad)
 
 
 def test_teacher_state_validation():
