@@ -4,11 +4,13 @@ inspect result files."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .data import save_csv, synthesize
 from .experiment import (
+    CONFIG_KEYS,
+    METHODS,
+    NOISE_KINDS,
     ExperimentResult,
     emit_metrics,
     load_config,
@@ -36,29 +38,11 @@ def render_summary(result: ExperimentResult) -> str:
                      for row in rows)
 
 
-def _parse_floats(text: str):
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _parse_ints(text: str):
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    overrides = {}
-    if args.method is not None:
-        overrides["method"] = args.method
-    if args.noise is not None:
-        overrides["noise_kind"] = args.noise
-    if args.rates is not None:
-        overrides["rates"] = _parse_floats(args.rates)
-    if args.seeds is not None:
-        overrides["seeds"] = _parse_ints(args.seeds)
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    # the flags are the [experiment] keys, and replace the file's values
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS["experiment"]
+             if getattr(args, key) is not None}
+    config = load_config(args.config, flags)
     result = run_experiment(config, progress=print)
     written = emit_metrics(result, config.out_dir)
     print(render_summary(result))
@@ -93,9 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment grid from a config file")
     run_p.add_argument("--config", required=True, help="sectioned key=value config file")
-    run_p.add_argument("--method", choices=["jocot", "coteaching", "coteachingplus",
-                                            "jocor", "ce_baseline"])
-    run_p.add_argument("--noise", choices=["pairflip", "symmetric"])
+    run_p.add_argument("--method", choices=METHODS)
+    run_p.add_argument("--noise", choices=NOISE_KINDS)
     run_p.add_argument("--rates", help="comma-separated noise rates, e.g. 0.2,0.4")
     run_p.add_argument("--seeds", help="comma-separated integer seeds, e.g. 1,2,3")
     run_p.add_argument("--out", help="output directory (overrides config)")

@@ -31,7 +31,7 @@ from .data import (
     split,
     synthesize,
 )
-from .network import TrainConfig, _is_int
+from .network import FieldError, TrainConfig, _check_fields
 from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     EpochMetrics,
@@ -58,13 +58,16 @@ class SyntheticSpec:
     separation: float = 3.0
     seed: int = 0
 
+    def __post_init__(self):
+        _check_fields(self, seed=0)
+
 
 @dataclass
 class ExperimentConfig:
     method: str = "jocot"
     noise_kind: str = "symmetric"
-    rates: tuple = (0.2,)
-    seeds: tuple = (1,)
+    rates: tuple[float, ...] = (0.2,)
+    seeds: tuple[int, ...] = (1,)
     out_dir: str = "results"
     csv_path: Optional[str] = None
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -74,32 +77,23 @@ class ExperimentConfig:
     train_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_fields(self, split_seed=0, rebalance_per_class=1)
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise FieldError("method", f"must be one of {METHODS}, got {self.method!r}")
         if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
-        self.rates = tuple(float(r) for r in self.rates)
-        if not self.rates:
-            raise ValueError("rates must hold at least one noise rate")
-        if any(not 0.0 <= r < 1.0 for r in self.rates):
-            raise ValueError("every noise rate must lie in [0, 1)")
+            raise FieldError("noise_kind", f"must be one of {NOISE_KINDS}")
+        if not self.rates or any(not 0.0 <= r < 1.0 for r in self.rates):
+            raise FieldError("rates", f"must be one or more in [0, 1), got {self.rates!r}")
         streams = {}
         for r in self.rates:
             key = _noise_stream(r)
             if key in streams:
-                raise ValueError(f"noise rates {streams[key]!r} and {r!r} share one noise "
+                raise FieldError("rates", f"{streams[key]!r} and {r!r} share one noise "
                                  f"stream; rates must differ after rounding to 1e-4")
             streams[key] = r
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if not all(_is_int(s) for s in self.seeds):
-            raise ValueError(f"seeds must be integers, got {self.seeds!r}")
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if len(set(self.seeds)) != len(self.seeds):
-            # two cells of one seed share a cell_id and its epochs file
-            raise ValueError(f"seeds must differ, got {self.seeds!r}")
-        if not isinstance(self.standardize, bool):
-            raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
+        # two cells of one seed would share a cell_id and its epochs file
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise FieldError("seeds", f"must be one or more distinct seeds, got {self.seeds!r}")
         valid = {f.name for f in fields(TrainConfig)}
         unknown = set(self.train_overrides) - valid
         if unknown:
@@ -107,7 +101,7 @@ class ExperimentConfig:
         # train_config sets these per cell from the grid's seeds and rates
         for key in ("seed", "noise_rate_tau"):
             if key in self.train_overrides:
-                raise ValueError(f"train setting {key!r} is set per cell by the grid")
+                raise FieldError(key, "is set per cell by the grid")
         # a bad value fails here, not later as an error in every cell
         TrainConfig(**self.train_overrides)
 
@@ -173,31 +167,47 @@ class ExperimentResult:
         return cls(data["version"], data["config"], cells)
 
 
-def _parse_scalar(value: str):
-    text = value.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
+# Each config file section's keys and the field each sets: [data] keys set
+# SyntheticSpec or ExperimentConfig fields, [experiment] keys (also the `jocot
+# run` flags) ExperimentConfig ones, [train] keys TrainConfig ones (lowercased).
+CONFIG_KEYS = {
+    "data": {"csv": "csv_path", "classes": "num_classes", "per_class": "per_class",
+             "dim": "dim", "separation": "separation", "data_seed": "seed",
+             "split_seed": "split_seed", "standardize": "standardize",
+             "rebalance": "rebalance_per_class"},
+    "experiment": {"method": "method", "noise": "noise_kind", "rates": "rates",
+                   "seeds": "seeds", "out": "out_dir"},
+    "train": {f.name.lower(): f.name for f in fields(TrainConfig)},
+}
+
+
+def _parse_value(text: str, kind: str):
+    """Config text as a field annotated ``kind`` holds it: the text of a str field,
+    a tuple of the comma-separated items of a tuple field, else the bool, int or
+    float the text spells, if any; what is left is for the field's check to reject."""
+    text = text.strip()
+    if "str" in kind:
         return text
+    if kind.startswith("tuple["):
+        return tuple(_parse_value(v, "") for v in text.split(",") if v.strip())
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _parse_tuple(value: str):
-    return tuple(_parse_scalar(v) for v in value.split(",") if v.strip())
-
-
-def load_config(path) -> ExperimentConfig:
+def load_config(path, flags: Optional[dict] = None) -> ExperimentConfig:
     """Read the sectioned key=value config format.
 
     Sections: [data] (csv / synthetic and split settings), [experiment]
     (method, noise grid, output), [train] (TrainConfig overrides). Unknown
-    keys are errors so typos cannot silently fall back to defaults.
+    keys are errors so typos cannot silently fall back to defaults. The
+    dataclass field a key sets checks its value, and an error names the key.
+    ``flags`` maps [experiment] keys to text that replaces the file's.
     """
     path = Path(path)
     if not path.exists():
@@ -207,70 +217,38 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:  # a key given twice, no [section] header
         raise ValueError(f"{path}: {exc}") from None
-    unknown_sections = set(parser.sections()) - {"data", "experiment", "train"}
+    unknown_sections = set(parser.sections()) - set(CONFIG_KEYS)
     if unknown_sections:
         raise ValueError(f"{path}: unknown sections {sorted(unknown_sections)}")
 
-    kwargs = {}
-    synth = {}
-    if parser.has_section("data"):
-        known = {"csv", "classes", "per_class", "dim", "separation", "data_seed",
-                 "split_seed", "standardize", "rebalance"}
-        unknown = set(parser["data"]) - known
+    flags = flags or {}
+    kinds = {f.name: f.type for cls in (SyntheticSpec, ExperimentConfig, TrainConfig)
+             for f in fields(cls)}
+    values = {}
+    for section, table in CONFIG_KEYS.items():
+        items = dict(parser[section]) if parser.has_section(section) else {}
+        if section == "experiment":
+            items.update(flags)
+        unknown = set(items) - set(table)
         if unknown:
-            raise ValueError(f"{path}: unknown [data] keys {sorted(unknown)}")
-        section = parser["data"]
-        if "csv" in section:
-            kwargs["csv_path"] = section["csv"].strip()
-        for src, dst in (("classes", "num_classes"), ("per_class", "per_class"),
-                         ("dim", "dim"), ("separation", "separation")):
-            if src in section:
-                value = _parse_scalar(section[src])
-                number = src == "separation" and isinstance(value, float)
-                if not (_is_int(value) or number):
-                    kind = "a number" if src == "separation" else "an integer"
-                    raise ValueError(f"{path}: [data] {src} must be {kind}, got {value!r}")
-                synth[dst] = value
-        for src, target, dst, least in (("data_seed", synth, "seed", 0),
-                                        ("split_seed", kwargs, "split_seed", 0),
-                                        ("rebalance", kwargs, "rebalance_per_class", 1)):
-            if src in section:
-                value = _parse_scalar(section[src])
-                if not (_is_int(value) and value >= least):
-                    raise ValueError(f"{path}: [data] {src} must be an integer "
-                                     f">= {least}, got {value!r}")
-                target[dst] = value
-        if "standardize" in section:
-            kwargs["standardize"] = _parse_scalar(section["standardize"])
-    if parser.has_section("experiment"):
-        known = {"method", "noise", "rates", "seeds", "out"}
-        unknown = set(parser["experiment"]) - known
-        if unknown:
-            raise ValueError(f"{path}: unknown [experiment] keys {sorted(unknown)}")
-        section = parser["experiment"]
-        if "method" in section:
-            kwargs["method"] = section["method"].strip()
-        if "noise" in section:
-            kwargs["noise_kind"] = section["noise"].strip()
-        if "rates" in section:
-            kwargs["rates"] = _parse_tuple(section["rates"])
-        if "seeds" in section:
-            kwargs["seeds"] = _parse_tuple(section["seeds"])
-        if "out" in section:
-            kwargs["out_dir"] = section["out"].strip()
-    if parser.has_section("train"):
-        # configparser lowercases option names: map them back onto the
-        # TrainConfig fields (num_gradual_T); unknown keys reach validation
-        field_names = {f.name.lower(): f.name for f in fields(TrainConfig)}
-        overrides = {}
-        for key, value in parser["train"].items():
-            key = field_names.get(key, key)
-            if key == "hidden_dims":
-                overrides[key] = _parse_tuple(value)
-            else:
-                overrides[key] = _parse_scalar(value)
-        kwargs["train_overrides"] = overrides
-    return ExperimentConfig(synthetic=SyntheticSpec(**synth), **kwargs)
+            raise ValueError(f"{path}: unknown [{section}] keys {sorted(unknown)}")
+        values[section] = {table[k]: _parse_value(v, kinds[table[k]]) for k, v in items.items()}
+    data = values["data"]
+    synth = {f.name: data.pop(f.name) for f in fields(SyntheticSpec) if f.name in data}
+    synthetic = None
+    try:
+        synthetic = SyntheticSpec(**synth)
+        return ExperimentConfig(synthetic=synthetic, train_overrides=values["train"],
+                                **data, **values["experiment"])
+    except FieldError as exc:
+        # name the key or flag that set the field; once SyntheticSpec is
+        # built, a seed is the [train] seed, not data_seed
+        for section in ["data"] if synthetic is None else ["train", "data", "experiment"]:
+            for key, name in CONFIG_KEYS[section].items():
+                if name == exc.field:
+                    where = f"--{key}" if key in flags else f"{path}: [{section}] {key!r}"
+                    raise ValueError(f"{where} {exc.problem}") from None
+        raise
 
 
 def _prepare_splits(config: ExperimentConfig):
@@ -348,20 +326,6 @@ def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         cell.error = _error(exc)
     return cell
-
-
-def run_cell(method: str, noise_kind: str, rate: float, seed: int,
-             train_set: LabeledDataset, test_set: LabeledDataset,
-             val_set: LabeledDataset, config: ExperimentConfig) -> CellResult:
-    """Execute a single grid cell in this process, noise then training, as
-    run_experiment does in two halves; exceptions become the cell's error."""
-    cell = CellResult(method, noise_kind, rate, seed)
-    try:
-        train_cfg, mask = _inject(cell, train_set, config)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        cell.error = _error(exc)
-        return cell
-    return _train(cell, train_cfg, mask, (train_set, test_set, val_set))
 
 
 def _default_start_method() -> str:

@@ -104,26 +104,51 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (256, 128)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            number = _is_int(value) or (f.type == "float" and isinstance(value, float))
-            if f.type in ("int", "float") and not number:
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-        if self.batch_size < 1 or self.total_epochs < 1 or self.num_gradual_T < 1:
-            raise ValueError("batch_size, total_epochs and num_gradual_T must be positive")
+        _check_fields(self, batch_size=1, total_epochs=1, num_gradual_T=1, hidden_dims=1)
         if not 0 < self.decay_start_epoch < self.total_epochs:
-            raise ValueError("decay_start_epoch must lie strictly between 0 and total_epochs")
+            raise FieldError("decay_start_epoch", "must lie strictly between 0 and total_epochs")
         if not 0.05 <= self.lambda_weight <= 0.95:
-            raise ValueError("lambda_weight must be in [0.05, 0.95]")
+            raise FieldError("lambda_weight", "must be in [0.05, 0.95]")
         if not 0.0 <= self.noise_rate_tau < 1.0:
-            raise ValueError("noise_rate_tau must be in [0, 1)")
-        if not all(_is_int(h) and h >= 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+            raise FieldError("noise_rate_tau", "must be in [0, 1)")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+class FieldError(ValueError):
+    """A value that a config dataclass field rejects: the ``field`` and the ``problem``."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
+
+
+# what a field annotated int, float, bool or str holds, the type a tuple
+# item is stored as first; a bool is no number
+_ACCEPTS = {"int": (int, np.integer), "float": (float, int, np.integer, np.floating),
+            "bool": (bool,), "str": (str,)}
+
+
+def _check_fields(obj, **least) -> None:
+    """Check each field of the dataclass ``obj`` against its annotation (int, float,
+    bool, str, Optional of one, or a tuple[..., ...] of one, stored as a tuple) and
+    against its lower bound in ``least``, item by item in a tuple. Raises FieldError."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), f.type
+        if kind.startswith("Optional["):
+            if value is None:
+                continue
+            kind = kind[len("Optional["):-1]
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        if item not in _ACCEPTS:
+            continue
+        values = (value,) if item == kind else value
+        if not isinstance(values, (tuple, list, np.ndarray)) or not all(
+                isinstance(v, _ACCEPTS[item]) and (item == "bool") == isinstance(v, bool)
+                for v in values):
+            raise FieldError(f.name, f"must be of type {f.type}, got {value!r}")
+        if f.name in least and any(v < least[f.name] for v in values):
+            raise FieldError(f.name, f"must be >= {least[f.name]}, got {value!r}")
+        if item != kind:
+            object.__setattr__(obj, f.name, tuple(map(_ACCEPTS[item][0], values)))
 
 
 def _check_dims(layer_dims: Sequence[int]) -> list[int]:

@@ -66,24 +66,31 @@ def test_run_rejects_train_seed(tmp_path, capsys):
     assert "'seed'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old,new,key", [
-    ("seeds = 1", "seeds = 1.5, 2.9", "seeds"),
-    ("separation = 3.0", "separation = 3.0\nstandardize = no", "standardize"),
-    ("hidden_dims = 8", "hidden_dims = 32.7", "hidden_dims"),
-    ("per_class = 30", "per_class = 30.5", "per_class"),
-    ("separation = 3.0", "separation = 3.0\nsplit_seed = 1.5", "split_seed"),
-    ("separation = 3.0", "separation = 3.0\nsplit_seed = -3", "split_seed"),
-    ("separation = 3.0", "separation = 3.0\nrebalance = 0", "rebalance"),
-    ("separation = 3.0", "separation = 3.0\ndata_seed = -3", "data_seed"),
-    ("seeds = 1", "seeds = 1, 1", "seeds"),
-    ("rates = 0.2", "rates = ", "rates"),
+@pytest.mark.parametrize("old,new,key,flags", [
+    ("seeds = 1", "seeds = 1.5, 2.9", "seeds", []),
+    ("separation = 3.0", "separation = 3.0\nstandardize = no", "standardize", []),
+    ("hidden_dims = 8", "hidden_dims = 32.7", "hidden_dims", []),
+    ("per_class = 30", "per_class = 30.5", "per_class", []),
+    ("separation = 3.0", "separation = 3.0\nsplit_seed = 1.5", "split_seed", []),
+    ("separation = 3.0", "separation = 3.0\nsplit_seed = -3", "split_seed", []),
+    ("separation = 3.0", "separation = 3.0\nrebalance = 0", "rebalance", []),
+    ("separation = 3.0", "separation = 3.0\ndata_seed = -3", "data_seed", []),
+    ("seeds = 1", "seeds = 1, 1", "seeds", []),
+    ("rates = 0.2", "rates = ", "rates", []),
+    ("rates = 0.2", "rates = 0.2, false", "rates", []),
+    ("rates = 0.2", "rates = 0.2, abc", "rates", []),
+    ("separation = 3.0", "separation = 3.0\ndata_seed = 1.5", "data_seed", []),
+    ("", "", "seeds", ["--seeds", "1.5"]),
+    ("", "", "rates", ["--rates", "0.2,abc"]),
 ], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
         "split_seed_negative", "rebalance_zero", "data_seed_negative",
-        "seeds_duplicate", "rates_empty"])
-def test_run_rejects_values_it_would_coerce(tmp_path, capsys, old, new, key):
+        "seeds_duplicate", "rates_empty", "rates_bool", "rates_text", "data_seed_float",
+        "seeds_flag", "rates_flag"])
+def test_run_rejects_values_it_would_coerce(tmp_path, capsys, old, new, key, flags):
+    # a flag gets the checks of the [experiment] key it replaces
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace(old, new))
-    assert main(["run", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path), *flags]) == 2
     assert key in capsys.readouterr().err
 
 

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from jocot.experiment import (
     emit_metrics,
     load_config,
     load_result,
-    run_cell,
     run_experiment,
 )
 from jocot.training import EpochMetrics
@@ -122,19 +120,49 @@ num_gradual_T = 2
     ("data", "data_seed = -3", "data_seed"),
     ("experiment", "seeds = 1, 1", "seeds"),
     ("experiment", "rates = ", "rates"),
+    ("experiment", "rates = 0.2, false", "rates"),
+    ("experiment", "rates = 0.2, abc", "rates"),
+    ("data", "data_seed = 1.5", "data_seed"),
 ], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
         "split_seed_negative", "rebalance_zero", "data_seed_negative",
-        "seeds_duplicate", "rates_empty"])
+        "seeds_duplicate", "rates_empty", "rates_bool", "rates_text", "data_seed_float"])
 def test_load_config_rejects_values_it_would_coerce(tmp_path, section, line, key):
     # 1.5 is no seed, "no" is no boolean and 32.7 no layer width: each
     # used to load as 1, True and 32; a negative split or data seed and a
     # rebalance to 0 per class used to load and fail later without naming
     # their key; a repeated seed ran one cell twice under one cell_id, and
-    # no rates ran a grid of no cells
+    # no rates ran a grid of no cells; "false" loaded as a rate of 0.0, and
+    # "abc" failed in float() naming no key. data_seed sets the field seed,
+    # and the error must still name the key.
     path = tmp_path / "exp.ini"
     path.write_text(f"[{section}]\n{line}\n")
     with pytest.raises(ValueError, match=key):
         load_config(path)
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: ExperimentConfig(split_seed=-3), "split_seed"),
+    (lambda: ExperimentConfig(rebalance_per_class=0), "rebalance_per_class"),
+    (lambda: SyntheticSpec(per_class=30.5), "per_class"),
+    (lambda: SyntheticSpec(seed=-1), "seed"),
+], ids=["split_seed", "rebalance_per_class", "per_class", "data_seed"])
+def test_config_dataclasses_check_values_when_built(make, name):
+    # each used to be checked only when read from a file, so a direct
+    # construction was accepted and failed later, or never
+    with pytest.raises(ValueError, match=f"^{name} "):
+        make()
+
+
+def test_readme_full_config_loads(tmp_path):
+    # the README's config example goes through the same loader as any file
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A full config:\n\n```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "full.ini"
+    path.write_text(block)
+    cfg = load_config(path)
+    assert (cfg.method, cfg.rates, cfg.seeds) == ("jocot", (0.2, 0.4), (1, 2, 3))
+    assert cfg.synthetic == SyntheticSpec(12, 600, 51, 4.5, 0)
+    assert cfg.train_overrides["hidden_dims"] == (256, 128)
 
 
 @pytest.mark.parametrize("text,words", [
@@ -199,18 +227,6 @@ def test_run_experiment_empty_grid():
     # refused when configured, like a grid without seeds
     with pytest.raises(ValueError, match="rates"):
         tiny_config(rates=())
-
-
-def test_run_cell_isolates_failures():
-    cfg = tiny_config(train_overrides={**TINY_TRAIN, "hidden_dims": (8,)})
-    splits = __import__("jocot.experiment", fromlist=["_prepare_splits"])._prepare_splits(cfg)
-    train, test, val = splits
-    bad_cfg = replace(cfg, train_overrides={**TINY_TRAIN, "batch_size": 16})
-    # force a failure by handing an empty training set
-    empty = train.subset(np.array([], dtype=int))
-    cell = run_cell("jocot", "symmetric", 0.2, 1, empty, test, val, bad_cfg)
-    assert not cell.succeeded
-    assert "empty" in cell.error
 
 
 def test_run_experiment_continues_after_cell_failure(monkeypatch):
