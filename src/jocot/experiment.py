@@ -10,6 +10,7 @@ per successful cell, and a result.json that round-trips losslessly.
 from __future__ import annotations
 
 import configparser
+import csv
 import json
 import os
 from collections import deque
@@ -112,9 +113,9 @@ class ExperimentConfig:
         return TrainConfig(**kwargs)
 
     def to_dict(self) -> dict:
-        # normalized to JSON-native types so the result.json config echo
-        # compares equal after a serialization round trip
-        return json.loads(json.dumps(asdict(self)))
+        # normalized to JSON-native types, a numpy scalar to its Python value, so
+        # the result.json config echo compares equal after a serialization round trip
+        return json.loads(json.dumps(asdict(self), default=np.generic.item))
 
 
 @dataclass
@@ -212,7 +213,7 @@ def load_config(path, flags: Optional[dict] = None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a % is literal
     try:
         parser.read(path)
     except configparser.Error as exc:  # a key given twice, no [section] header
@@ -274,12 +275,6 @@ def _noise_seed(seed: int, rate: float) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(_NOISE_SPAWN_PREFIX, _noise_stream(rate)))
 
 
-def _final_precision(metrics: List[EpochMetrics], mask) -> float:
-    # a cell with no corrupted labels has nothing to find; define the
-    # metric as perfect so summaries stay in [0, 1]
-    return 1.0 if mask.num_flipped == 0 else metrics[-1].noisy_label_precision
-
-
 def _error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -307,22 +302,24 @@ def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult
             cell.teacher_metrics = teachers.metrics
             cell.student_metrics = student.metrics
             cell.test_acc = evaluate(student.params, test_set)
-            cell.noisy_precision = _final_precision(teachers.metrics, mask)
             cell.clean_set_size = len(teachers.final_selection)
         elif cell.method == "ce_baseline":
             student = train_student(noisy_train, val_set, train_cfg, test_set=test_set)
             cell.student_metrics = student.metrics
             cell.test_acc = evaluate(student.params, test_set)
-            # the baseline judges no sample noisy
-            cell.noisy_precision = 1.0 if mask.num_flipped == 0 else 0.0
             cell.clean_set_size = len(noisy_train)
         else:
             module = train_module(train_cfg, cell.method, noisy_train,
                                   test_set=test_set, noise_mask=mask)
             cell.teacher_metrics = module.metrics
             cell.test_acc = module.metrics[-1].test_accuracy
-            cell.noisy_precision = _final_precision(module.metrics, mask)
             cell.clean_set_size = len(module.final_selection)
+        if mask.num_flipped == 0:  # nothing to find: define the metric as perfect
+            cell.noisy_precision = 1.0
+        elif cell.teacher_metrics:
+            cell.noisy_precision = cell.teacher_metrics[-1].noisy_label_precision
+        else:  # the baseline judges no sample noisy
+            cell.noisy_precision = 0.0
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         cell.error = _error(exc)
     return cell
@@ -457,35 +454,30 @@ def run_experiment(config: ExperimentConfig,
     return ExperimentResult(__version__, config.to_dict(), cells)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _epoch_rows(cell: CellResult):
     """Project the cell's metric streams onto the epochs-CSV columns.
 
     Teacher rows come first; student rows continue the epoch numbering.
     Fields that do not apply to a phase stay empty.
     """
-    rows = []
-    offset = 0
-    for m in cell.teacher_metrics:
-        rows.append([m.epoch, m.test_accuracy, m.noisy_label_precision,
-                     m.remember_rate, m.lr])
-        offset = m.epoch + 1
-    for m in cell.student_metrics:
-        rows.append([m.epoch + offset, m.test_accuracy, m.noisy_label_precision,
-                     m.remember_rate, m.lr])
-    return rows
+    offset = cell.teacher_metrics[-1].epoch + 1 if cell.teacher_metrics else 0
+    phases = [(cell.teacher_metrics, 0), (cell.student_metrics, offset)]
+    return [[m.epoch + shift, m.test_accuracy, m.noisy_label_precision, m.remember_rate, m.lr]
+            for metrics, shift in phases for m in metrics]
 
 
 def _mean_or_none(values):
     present = [v for v in values if v is not None]
     return float(np.mean(present)) if present else None
+
+
+def _write_table(path: Path, header: str, rows) -> Path:
+    """Write the comma-separated ``header``, then ``rows`` (None as "", a float as its repr)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+    return path
 
 
 def emit_metrics(result: ExperimentResult, out_dir) -> List[Path]:
@@ -496,42 +488,24 @@ def emit_metrics(result: ExperimentResult, out_dir) -> List[Path]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    written = []
 
-    summary = out / "summary.csv"
-    lines = ["method,noise_kind,rate,seed,test_acc,noisy_precision,clean_set_size"]
+    # one mean row per (method, noise kind, rate) group of two or more cells
+    groups = {}
     for c in result.cells:
-        lines.append(",".join([c.method, c.noise_kind, repr(float(c.rate)),
-                               str(c.seed), _fmt(c.test_acc), _fmt(c.noisy_precision),
-                               _fmt(c.clean_set_size)]))
-    seen = []
-    for c in result.cells:
-        key = (c.method, c.noise_kind, c.rate)
-        if key in seen:
-            continue
-        seen.append(key)
-        group = [x for x in result.cells if (x.method, x.noise_kind, x.rate) == key]
-        if len(group) < 2:
-            continue
-        lines.append(",".join([
-            key[0], key[1], repr(float(key[2])), "mean",
-            _fmt(_mean_or_none([x.test_acc for x in group])),
-            _fmt(_mean_or_none([x.noisy_precision for x in group])),
-            _fmt(_mean_or_none([None if x.clean_set_size is None
-                                else float(x.clean_set_size) for x in group])),
-        ]))
-    summary.write_text("\n".join(lines) + "\n")
-    written.append(summary)
+        groups.setdefault((c.method, c.noise_kind, c.rate), []).append(c)
+    rows = [[c.method, c.noise_kind, float(c.rate), c.seed, c.test_acc, c.noisy_precision,
+             c.clean_set_size] for c in result.cells]
+    rows += [[method, kind, float(rate), "mean",
+              *(_mean_or_none([getattr(c, name) for c in group])
+                for name in ("test_acc", "noisy_precision", "clean_set_size"))]
+             for (method, kind, rate), group in groups.items() if len(group) > 1]
+    written = [_write_table(
+        out / "summary.csv",
+        "method,noise_kind,rate,seed,test_acc,noisy_precision,clean_set_size", rows)]
 
-    for c in result.cells:
-        if not c.succeeded:
-            continue
-        path = out / f"epochs_{c.cell_id}.csv"
-        rows = ["epoch,test_acc,noisy_precision,remember_rate,lr"]
-        for row in _epoch_rows(c):
-            rows.append(",".join(_fmt(v) for v in row))
-        path.write_text("\n".join(rows) + "\n")
-        written.append(path)
+    written += [_write_table(out / f"epochs_{c.cell_id}.csv",
+                             "epoch,test_acc,noisy_precision,remember_rate,lr", _epoch_rows(c))
+                for c in result.cells if c.succeeded]
 
     result_path = out / "result.json"
     result_path.write_text(json.dumps(result.to_json_dict(), indent=2,

@@ -8,7 +8,7 @@ the ground truth against which clean-instance mining is scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,16 +41,14 @@ class NoiseMask:
 
     true_labels: np.ndarray
     noisy_labels: np.ndarray
-    flipped: np.ndarray
+    flipped: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.true_labels = np.asarray(self.true_labels, dtype=np.intp)
         self.noisy_labels = np.asarray(self.noisy_labels, dtype=np.intp)
-        self.flipped = np.asarray(self.flipped, dtype=bool)
-        if not (self.true_labels.shape == self.noisy_labels.shape == self.flipped.shape):
+        if self.true_labels.shape != self.noisy_labels.shape:
             raise ValueError("mask arrays must share one shape")
-        if not (self.flipped == (self.true_labels != self.noisy_labels)).all():
-            raise ValueError("flipped must mark exactly the changed labels")
+        self.flipped = self.true_labels != self.noisy_labels
 
     @property
     def num_flipped(self) -> int:
@@ -97,7 +95,7 @@ def inject_noise(true_labels, matrix: NoiseMatrix, seed) -> NoiseMask:
     u = rng.random(true_labels.shape[0])
     row_cdfs = cdfs[true_labels]
     noisy = np.minimum((row_cdfs < u[:, None]).sum(axis=1), matrix.num_classes - 1)
-    return NoiseMask(true_labels, noisy.astype(np.intp), noisy != true_labels)
+    return NoiseMask(true_labels, noisy.astype(np.intp))
 
 
 def noisy_label_precision(judged_noisy: np.ndarray, mask: NoiseMask) -> float:

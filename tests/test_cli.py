@@ -105,6 +105,12 @@ def test_run_exits_2_on_an_unreadable_config(tmp_path, capsys, old, new, words):
     assert words in capsys.readouterr().err
 
 
+def test_run_reads_a_percent_sign_literally(tmp_path):
+    config = write_config(tmp_path, out_name="res%1")
+    assert main(["run", "--config", str(config)]) == 0
+    assert (tmp_path / "res%1" / "summary.csv").exists()
+
+
 def test_run_rejects_rates_sharing_a_noise_stream(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", "--config", str(path), "--rates", "0.2,0.20001"]) == 2

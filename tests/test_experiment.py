@@ -425,6 +425,47 @@ def test_result_json_has_config_echo_and_version(tmp_path):
     assert data["config"]["rates"] == [0.2]
 
 
+def test_numpy_integers_in_the_config_echo_as_python_ints(tmp_path):
+    for tag, make in [("python", int), ("numpy", np.int64)]:
+        cfg = tiny_config(method="ce_baseline", split_seed=make(1),
+                          train_overrides={**TINY_TRAIN, "total_epochs": make(4)})
+        emit_metrics(run_experiment(cfg), tmp_path / tag)
+    assert ((tmp_path / "numpy" / "result.json").read_bytes()
+            == (tmp_path / "python" / "result.json").read_bytes())
+
+
+def test_emit_metrics_exact_csv_bytes(tmp_path):
+    teacher = [EpochMetrics(0, 0.5, 0.25, 1.0, None, 0.001),
+               EpochMetrics(1, 0.75, None, 0.9, 0.2, 0.0005)]
+    student = [EpochMetrics(0, 0.6, None, None, None, 1e-4),
+               EpochMetrics(1, 1 / 3, None, None, None, 0.0)]
+    cells = [
+        CellResult("jocot", "symmetric", 0.2, 1, 0.5, 0.25, 10,
+                   teacher_metrics=teacher, student_metrics=student),
+        CellResult("jocot", "symmetric", 0.2, 2, error="ValueError: boom"),
+        CellResult("jocot", "symmetric", 0.4, 1, 0.1, None, 7),
+        CellResult("jocot", "symmetric", 0.4, 2, 0.3, 0.5, 9),
+        CellResult("jocot", "pairflip", 0.4, 2, 0.3, 0.5, 9),
+    ]
+    emit_metrics(ExperimentResult("0", {}, cells), tmp_path)
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"method,noise_kind,rate,seed,test_acc,noisy_precision,clean_set_size\n"
+        b"jocot,symmetric,0.2,1,0.5,0.25,10\n"
+        b"jocot,symmetric,0.2,2,,,\n"
+        b"jocot,symmetric,0.4,1,0.1,,7\n"
+        b"jocot,symmetric,0.4,2,0.3,0.5,9\n"
+        b"jocot,pairflip,0.4,2,0.3,0.5,9\n"
+        b"jocot,symmetric,0.2,mean,0.5,0.25,10.0\n"
+        b"jocot,symmetric,0.4,mean,0.2,0.5,8.0\n")
+    assert (tmp_path / "epochs_jocot_symmetric_0.2_1.csv").read_bytes() == (
+        b"epoch,test_acc,noisy_precision,remember_rate,lr\n"
+        b"0,0.5,0.25,1.0,0.001\n"
+        b"1,0.75,,0.9,0.0005\n"
+        b"2,0.6,,,0.0001\n"
+        b"3,0.3333333333333333,,,0.0\n")
+    assert not (tmp_path / "epochs_jocot_symmetric_0.2_2.csv").exists()
+
+
 def test_noise_seed_depends_on_rate_not_order():
     cfg_a = tiny_config(method="ce_baseline", rates=(0.2, 0.4), seeds=(1,))
     cfg_b = tiny_config(method="ce_baseline", rates=(0.4, 0.2), seeds=(1,))

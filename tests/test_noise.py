@@ -112,12 +112,6 @@ def test_inject_label_range_check():
         inject_noise([0, 3], build_noise_matrix("symmetric", 0.2, 3), seed=0)
 
 
-def make_mask(true_l, noisy_l):
-    true_l = np.asarray(true_l)
-    noisy_l = np.asarray(noisy_l)
-    return NoiseMask(true_l, noisy_l, true_l != noisy_l)
-
-
 def judged(n, *indices):
     """Boolean mask over n samples marking the given indices as judged noisy."""
     out = np.zeros(n, dtype=bool)
@@ -126,46 +120,41 @@ def judged(n, *indices):
 
 
 def test_precision_exact_match_is_one():
-    mask = make_mask([0, 1, 2, 3], [0, 2, 2, 0])  # flipped: {1, 3}
+    mask = NoiseMask([0, 1, 2, 3], [0, 2, 2, 0])  # flipped: {1, 3}
     assert noisy_label_precision(judged(4, 1, 3), mask) == 1.0
 
 
 def test_precision_empty_judged_is_zero():
-    mask = make_mask([0, 1], [1, 1])
+    mask = NoiseMask([0, 1], [1, 1])
     assert noisy_label_precision(judged(2), mask) == 0.0
 
 
 def test_precision_half():
-    mask = make_mask([0, 0, 0, 0], [1, 1, 1, 1])
+    mask = NoiseMask([0, 0, 0, 0], [1, 1, 1, 1])
     assert noisy_label_precision(judged(4, 0, 2), mask) == 0.5
 
 
 def test_precision_false_alarms_do_not_help():
-    mask = make_mask([0, 1, 2, 3], [0, 2, 2, 0])  # flipped: {1, 3}
+    mask = NoiseMask([0, 1, 2, 3], [0, 2, 2, 0])  # flipped: {1, 3}
     assert noisy_label_precision(judged(4, 0, 1, 2), mask) == 0.5
 
 
 def test_precision_undefined_without_flips():
-    mask = make_mask([0, 1], [0, 1])
+    mask = NoiseMask([0, 1], [0, 1])
     with pytest.raises(ValueError, match="undefined"):
         noisy_label_precision(judged(2, 0), mask)
 
 
 def test_precision_judged_out_of_range():
-    mask = make_mask([0, 1], [1, 1])
+    mask = NoiseMask([0, 1], [1, 1])
     with pytest.raises(ValueError, match="shape"):
         noisy_label_precision(judged(6, 5), mask)
 
 
 def test_precision_rejects_index_arrays():
-    mask = make_mask([0, 1], [1, 1])
+    mask = NoiseMask([0, 1], [1, 1])
     with pytest.raises(ValueError, match="bool"):
         noisy_label_precision(np.array([0, 1]), mask)
-
-
-def test_mask_invariant_enforced():
-    with pytest.raises(ValueError, match="flipped"):
-        NoiseMask(np.array([0, 1]), np.array([0, 2]), np.array([True, True]))
 
 
 # property tests: the oracles are Python sets and plain label comparisons
@@ -174,7 +163,7 @@ def test_mask_invariant_enforced():
 def test_precision_matches_set_oracle(rows):
     flipped = np.array([f for f, _ in rows])
     judged_mask = np.array([j for _, j in rows])
-    mask = make_mask(np.zeros(len(rows), dtype=int), flipped.astype(int))
+    mask = NoiseMask(np.zeros(len(rows), dtype=int), flipped.astype(int))
     flipped_set = {i for i, (f, _) in enumerate(rows) if f}
     judged_set = {i for i, (_, j) in enumerate(rows) if j}
     if not flipped_set:
