@@ -31,7 +31,7 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def ce_batch(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """-log(probs[i, labels[i]]) for each row, with the probability floor."""
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.asarray(probs)
     labels = _check_labels(labels, probs.shape[1])
     picked = _floor(probs[np.arange(probs.shape[0]), labels])
     return -np.log(picked)
@@ -39,8 +39,7 @@ def ce_batch(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def symmetric_kl_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise D_KL(p||q) + D_KL(q||p), both arguments floored before logs."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    p, q = np.asarray(p), np.asarray(q)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
     pf, qf = _floor(p), _floor(q)
@@ -93,9 +92,10 @@ def make_joint_loss_fn(other_probs: np.ndarray, labels: np.ndarray, lambda_weigh
 
     The other network's probabilities enter as constants: the returned
     per-sample values are the full joint loss, but only the calling
-    network's probabilities carry gradient.
+    network's probabilities carry gradient. The losses and the gradient take
+    the dtype of the probabilities.
     """
-    other_probs = np.asarray(other_probs, dtype=np.float64)
+    other_probs = np.asarray(other_probs)
     labels = np.asarray(labels)
 
     def loss_fn(probs: np.ndarray):

@@ -1,10 +1,12 @@
 """Dense feed-forward classifier with hand-derived gradients and Adam.
 
 All five networks in a trinity run (four teacher peers plus the student)
-share this substrate: float64 dense layers, ReLU hidden activations, a
-softmax output, and an explicit backward pass for any loss expressed on
-the output probabilities. There is no autodiff; the chain rule is spelled
-out once, through the softmax Jacobian.
+share this substrate: dense layers, ReLU hidden activations, a softmax
+output, and an explicit backward pass for any loss expressed on the output
+probabilities. There is no autodiff; the chain rule is spelled out once,
+through the softmax Jacobian. A network's parameters fix its floating
+dtype: the forward pass, the gradient and Adam all run in it. Training
+builds float32 networks; float64 is the default everywhere else.
 """
 
 from __future__ import annotations
@@ -25,19 +27,21 @@ ADAM_EPSILON = 1e-8
 
 
 class ModelParams:
-    """Weights and biases of one network in one contiguous float64 vector.
+    """Weights and biases of one network in one contiguous vector.
 
     ``flat`` holds the layers in the order w0, b0, w1, b1, ...; ``weights[i]``
     (shape (fan_in, fan_out)) and ``biases[i]`` are views into it, so an
     in-place update of ``flat`` updates every layer. The constructor packs
-    the given arrays into a fresh vector.
+    the given arrays into a fresh vector. The vector's dtype is the
+    network's: the arrays' common dtype if it is floating, else float64.
     """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
         if len(weights) != len(biases) or not weights:
             raise ValueError("need one bias vector per weight matrix")
-        arrays = [np.asarray(a, dtype=np.float64) for pair in zip(weights, biases) for a in pair]
-        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+        arrays = [np.asarray(a) for pair in zip(weights, biases) for a in pair]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        self._bind(flat.astype(_float_dtype(flat.dtype), copy=False), [a.shape for a in arrays])
 
     @classmethod
     def from_flat(cls, layer_dims: Sequence[int], flat: np.ndarray) -> "ModelParams":
@@ -46,7 +50,8 @@ class ModelParams:
         shapes = [s for fan_in, fan_out in zip(dims[:-1], dims[1:])
                   for s in ((fan_in, fan_out), (fan_out,))]
         params = cls.__new__(cls)
-        params._bind(np.ascontiguousarray(flat, dtype=np.float64), shapes)
+        flat = np.asarray(flat)
+        params._bind(np.ascontiguousarray(flat, dtype=_float_dtype(flat.dtype)), shapes)
         return params
 
     def _bind(self, flat: np.ndarray, shapes) -> None:
@@ -130,7 +135,9 @@ _ACCEPTS = {"int": (int, np.integer), "float": (float, int, np.integer, np.float
 def _check_fields(obj, **least) -> None:
     """Check each field of the dataclass ``obj`` against its annotation (int, float,
     bool, str, Optional of one, or a tuple[..., ...] of one, stored as a tuple) and
-    against its lower bound in ``least``, item by item in a tuple. Raises FieldError."""
+    against its lower bound in ``least``, item by item in a tuple. Raises FieldError.
+    Each value is stored as its Python type: under NEP 50 a numpy float64 scalar
+    would lift float32 training arithmetic to float64."""
     for f in fields(obj):
         value, kind = getattr(obj, f.name), f.type
         if kind.startswith("Optional["):
@@ -147,8 +154,13 @@ def _check_fields(obj, **least) -> None:
             raise FieldError(f.name, f"must be of type {f.type}, got {value!r}")
         if f.name in least and any(v < least[f.name] for v in values):
             raise FieldError(f.name, f"must be >= {least[f.name]}, got {value!r}")
-        if item != kind:
-            object.__setattr__(obj, f.name, tuple(map(_ACCEPTS[item][0], values)))
+        cast = _ACCEPTS[item][0]
+        object.__setattr__(obj, f.name, cast(value) if item == kind else tuple(map(cast, values)))
+
+
+def _float_dtype(dtype: np.dtype) -> np.dtype:
+    """``dtype`` if it is floating, else float64."""
+    return dtype if dtype.kind == "f" else np.dtype(np.float64)
 
 
 def _check_dims(layer_dims: Sequence[int]) -> list[int]:
@@ -158,19 +170,21 @@ def _check_dims(layer_dims: Sequence[int]) -> list[int]:
     return dims
 
 
-def init_params(layer_dims: Sequence[int], rng: np.random.Generator) -> ModelParams:
-    """Fresh network: weights uniform in +-sqrt(6/fan_in), biases zero."""
+def init_params(layer_dims: Sequence[int], rng: np.random.Generator,
+                dtype=np.float64) -> ModelParams:
+    """Fresh network of floating ``dtype``: weights uniform in +-sqrt(6/fan_in),
+    drawn in float64 whatever the dtype, biases zero."""
     dims = _check_dims(layer_dims)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     return ModelParams(weights, biases)
 
 
 def _check_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=params.flat.dtype)
     if features.ndim != 2:
         raise ValueError(f"features must be a 2-d batch, got shape {features.shape}")
     expected = params.weights[0].shape[0]
@@ -221,6 +235,8 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossF
     elif out.layer_dims != params.layer_dims:
         raise ValueError(f"out layer_dims {out.layer_dims} do not match "
                          f"parameter layer_dims {params.layer_dims}")
+    else:
+        _check_dtype("out", out.flat, params)
     probs = acts[-1]
     losses, dprobs = loss_fn(probs)
     bad = ~np.isfinite(losses)
@@ -238,6 +254,12 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossF
     return out, losses
 
 
+def _check_dtype(name: str, array: np.ndarray, params: ModelParams) -> None:
+    # a float64 array written into float32 parameters would round silently
+    if array.dtype != params.flat.dtype:
+        raise ValueError(f"{name} is {array.dtype}, the parameters are {params.flat.dtype}")
+
+
 def adam_init(params: ModelParams) -> OptimizerState:
     return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
@@ -246,17 +268,22 @@ def adam_step(params: ModelParams, state: OptimizerState, grads: ModelParams,
               lr: float, scratch: Optional[np.ndarray] = None) -> None:
     """One bias-corrected Adam update of params.flat, state.m and state.v in place.
 
-    ``scratch`` is a (2, n) float64 array for the update's temporaries, n being the
+    The gradient, the moments and ``scratch`` share the parameters' dtype, and
+    the update runs in it.
+    ``scratch`` is a (2, n) array for the update's temporaries, n being the
     parameter count; without one it is allocated here.
     """
     if grads.layer_dims != params.layer_dims:
         raise ValueError(f"gradient layer_dims {grads.layer_dims} do not match "
                          f"parameter layer_dims {params.layer_dims}")
+    dtype = params.flat.dtype
     if scratch is None:
-        scratch = np.empty((2, params.flat.size))
-    elif scratch.shape != (2, params.flat.size) or scratch.dtype != np.float64:
-        raise ValueError(f"scratch must be a (2, {params.flat.size}) float64 array, "
+        scratch = np.empty((2, params.flat.size), dtype=dtype)
+    elif scratch.shape != (2, params.flat.size) or scratch.dtype != dtype:
+        raise ValueError(f"scratch must be a (2, {params.flat.size}) {dtype} array, "
                          f"got {scratch.dtype} {scratch.shape}")
+    for name, array in (("gradient", grads.flat), ("Adam m", state.m), ("Adam v", state.v)):
+        _check_dtype(name, array, params)
     state.step_count += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     c1 = 1.0 - b1 ** state.step_count

@@ -18,7 +18,8 @@ other within an epoch, so the second steps on a worker thread while the
 calling thread steps the first, with OpenBLAS pinned to one thread; when
 no OpenBLAS count can be pinned, both step on the calling thread.
 train_student fits plain cross-entropy on a trusted subset, checkpointed
-by validation accuracy.
+by validation accuracy. Every network trains in float32, as the compared
+methods' PyTorch models did; evaluate scores it in float64.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ _ROLE_STUDENT_INIT = 3
 _ROLE_STUDENT_SHUFFLE = 4
 _ROLE_MODULE_INIT = 5
 _ROLE_MODULE_SHUFFLE = 6
+
+# the dtype of every network init_teacher_state and train_student build
+_TRAIN_DTYPE = np.float32
 
 
 def _role_rng(seed: int, role: int) -> np.random.Generator:
@@ -212,9 +216,9 @@ class StudentResult:
 
 
 def init_teacher_state(module_kind: str, layer_dims, rng: np.random.Generator) -> TeacherState:
-    """Two independently initialized peers drawn from one RNG stream."""
-    net1 = PeerNet(init_params(layer_dims, rng), None)
-    net2 = PeerNet(init_params(layer_dims, rng), None)
+    """Two independently initialized float32 peers drawn from one RNG stream."""
+    net1 = PeerNet(init_params(layer_dims, rng, _TRAIN_DTYPE), None)
+    net2 = PeerNet(init_params(layer_dims, rng, _TRAIN_DTYPE), None)
     net1.opt = adam_init(net1.params)
     net2.opt = adam_init(net2.params)
     return TeacherState(module_kind, net1, net2)
@@ -230,17 +234,20 @@ def make_batches(n_samples: int, batch_size: int, rng: np.random.Generator) -> L
 
 def evaluate(params: ModelParams, dataset: LabeledDataset) -> float:
     """Fraction of samples whose argmax class (ties to the smallest index)
-    equals the label."""
+    equals the label. The forward pass runs on a float64 copy of a float32
+    network, so two classes whose float32 probabilities round to a tie are
+    still told apart."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    params = ModelParams.from_flat(params.layer_dims, params.flat.astype(np.float64, copy=False))
     preds = forward(params, dataset.features).argmax(axis=1)
     return float((preds == dataset.labels).mean())
 
 
 def _step_buffers(params: ModelParams) -> Tuple[ModelParams, np.ndarray]:
     """One (3, n) block for a network step: a gradient laid out like params,
-    then adam_step's (2, n) scratch."""
-    work = np.empty((3, params.flat.size))
+    then adam_step's (2, n) scratch, in the parameters' dtype."""
+    work = np.empty((3, params.flat.size), dtype=params.flat.dtype)
     return ModelParams.from_flat(params.layer_dims, work[0]), work[1:]
 
 
@@ -425,7 +432,7 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
         raise ValueError("clean_val is empty")
     n = len(clean_train)
     dims = [clean_train.feature_dim, *config.hidden_dims, clean_train.num_classes]
-    params = init_params(dims, _role_rng(config.seed, _ROLE_STUDENT_INIT))
+    params = init_params(dims, _role_rng(config.seed, _ROLE_STUDENT_INIT), _TRAIN_DTYPE)
     opt = adam_init(params)
     grads, scratch = _step_buffers(params)
     shuffle_rng = _role_rng(config.seed, _ROLE_STUDENT_SHUFFLE)

@@ -199,3 +199,19 @@ def test_joint_contrastive_gradient_zero_when_predictions_coincide():
     grads, _ = gradient(params, activations(params, x), make_joint_loss_fn(probs, labels, 1.0))
     for g in grads.weights + grads.biases:
         npt.assert_allclose(g, np.zeros_like(g), atol=1e-12)
+
+
+def test_losses_keep_the_dtype_of_the_probabilities():
+    rng = np.random.default_rng(23)
+    p1 = rng.dirichlet(np.ones(5), size=20)
+    p2 = rng.dirichlet(np.ones(5), size=20)
+    labels = rng.integers(0, 5, size=20)
+    q1, q2 = p1.astype(np.float32), p2.astype(np.float32)
+    losses, grad = make_joint_loss_fn(q2, labels, 0.85)(q1)
+    assert losses.dtype == grad.dtype == np.float32
+    want, want_grad = make_joint_loss_fn(p2, labels, 0.85)(p1)
+    assert want.dtype == want_grad.dtype == np.float64
+    npt.assert_allclose(losses, want, rtol=1e-5)
+    losses, grad = make_ce_loss_fn(labels)(q1)
+    assert losses.dtype == grad.dtype == np.float32
+    assert ce_batch(q1, labels).dtype == symmetric_kl_batch(q1, q2).dtype == np.float32

@@ -275,6 +275,14 @@ def test_train_config_rejects_values_it_would_coerce(key, value):
         TrainConfig(**{key: value})
 
 
+def test_train_config_stores_numpy_scalars_as_python_types():
+    cfg = TrainConfig(base_lr=np.float64(1e-3), lambda_weight=np.float32(0.5),
+                      noise_rate_tau=0, batch_size=np.int64(32), hidden_dims=(np.int32(8),))
+    assert [type(v) for v in (cfg.base_lr, cfg.lambda_weight, cfg.noise_rate_tau,
+                              cfg.batch_size, cfg.hidden_dims[0])] == [float, float, float, int, int]
+    assert (cfg.base_lr, cfg.lambda_weight, cfg.batch_size) == (1e-3, 0.5, 32)
+
+
 def test_model_params_flat_layout():
     # one vector in the order w0, b0, w1, b1; the per-layer arrays are views
     params, _ = make_net([3, 4, 2], 9)
@@ -304,3 +312,96 @@ def test_model_params_copies_keep_views_into_flat(clone):
     q.flat += 1.0  # an in-place update must reach forward through the views
     assert not np.array_equal(forward(q, x), before)
     npt.assert_array_equal(forward(params, x), before)
+
+
+def test_params_keep_a_floating_dtype_and_make_anything_else_float64():
+    w32, b32 = np.ones((2, 3), np.float32), np.zeros(3, np.float32)
+    assert ModelParams([w32], [b32]).flat.dtype == np.float32
+    assert ModelParams([np.ones((2, 3), int)], [np.zeros(3, int)]).flat.dtype == np.float64
+    flat32 = np.arange(9, dtype=np.float32)
+    assert ModelParams.from_flat([2, 3], flat32).flat is flat32
+    assert ModelParams.from_flat([2, 3], np.arange(9)).flat.dtype == np.float64
+    assert ModelParams.from_flat([2, 3], flat32).copy().flat.dtype == np.float32
+
+
+def test_float32_init_is_the_float64_draw_rounded():
+    wide = init_params([5, 7, 3], np.random.default_rng(19))
+    narrow = init_params([5, 7, 3], np.random.default_rng(19), np.float32)
+    assert wide.flat.dtype == np.float64 and narrow.flat.dtype == np.float32
+    npt.assert_array_equal(narrow.flat, wide.flat.astype(np.float32))
+
+
+def test_gradient_out_of_another_dtype_raises():
+    params = init_params([4, 5, 3], np.random.default_rng(20), np.float32)
+    acts = activations(params, np.ones((2, 4)))
+    out = ModelParams.from_flat(params.layer_dims, np.empty(params.flat.size))
+    with pytest.raises(ValueError, match="out is float64, the parameters are float32"):
+        gradient(params, acts, quadratic_loss, out=out)
+
+
+def test_adam_step_rejects_a_gradient_of_another_dtype():
+    params = init_params([4, 3], np.random.default_rng(21), np.float32)
+    grads = ModelParams.from_flat(params.layer_dims, np.ones(params.flat.size))
+    before = params.flat.copy()
+    with pytest.raises(ValueError, match="gradient is float64, the parameters are float32"):
+        adam_step(params, adam_init(params), grads, 0.01)
+    npt.assert_array_equal(params.flat, before)
+
+
+@pytest.mark.parametrize("moment", ["m", "v"])
+def test_adam_step_rejects_adam_state_of_another_dtype(moment):
+    params = init_params([4, 3], np.random.default_rng(22), np.float32)
+    state = adam_init(params)
+    setattr(state, moment, getattr(state, moment).astype(np.float64))
+    grads = ModelParams.from_flat(params.layer_dims, np.ones(params.flat.size, np.float32))
+    with pytest.raises(ValueError, match=f"Adam {moment} is float64"):
+        adam_step(params, state, grads, 0.01)
+    assert state.step_count == 0
+
+
+def test_adam_step_scratch_follows_the_parameter_dtype():
+    params = init_params([4, 3], np.random.default_rng(23), np.float32)
+    grads = ModelParams.from_flat(params.layer_dims, np.ones(params.flat.size, np.float32))
+    with pytest.raises(ValueError, match=r"scratch must be a \(2, 15\) float32 array"):
+        adam_step(params, adam_init(params), grads, 0.01, np.empty((2, params.flat.size)))
+    adam_step(params, adam_init(params), grads, 0.01, np.empty((2, 15), np.float32))
+
+
+def test_float64_step_is_bitwise_the_spelled_out_expressions():
+    # the float64 path: forward, backward and Adam against the textbook
+    # expressions in their rounding order, element for element
+    params, rng = make_net([5, 7, 6, 4], 24)
+    x = rng.normal(size=(9, 5))
+    acts = activations(params, x)
+    h = [x]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h.append(np.maximum(h[-1] @ w + b, 0.0))
+    logits = h[-1] @ params.weights[-1] + params.biases[-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    for got, want in zip(acts, h + [probs]):
+        assert got.dtype == np.float64
+        npt.assert_array_equal(got, want)
+
+    out = ModelParams.from_flat(params.layer_dims, np.full(params.flat.size, np.nan))
+    grads, losses = gradient(params, acts, entropy_loss, out=out)
+    want_losses, dprobs = entropy_loss(probs)
+    delta = probs * (dprobs - np.sum(dprobs * probs, axis=1, keepdims=True)) / 9
+    want_w, want_b = [], []
+    for layer in range(2, -1, -1):
+        want_w.insert(0, h[layer].T @ delta)
+        want_b.insert(0, delta.sum(axis=0))
+        delta = (delta @ params.weights[layer].T) * (h[layer] > 0.0)
+    npt.assert_array_equal(losses, want_losses)
+    npt.assert_array_equal(grads.flat, np.concatenate(
+        [a.ravel() for pair in zip(want_w, want_b) for a in pair]))
+
+    state, flat = adam_init(params), params.flat.copy()
+    adam_step(params, state, grads, np.float64(0.003), np.empty((2, flat.size)))
+    g, zeros = grads.flat, np.zeros_like(flat)
+    m = 0.9 * zeros + (1.0 - 0.9) * g
+    v = 0.999 * zeros + (1.0 - 0.999) * g * g
+    want = flat - 0.003 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+    for got, expected in ((state.m, m), (state.v, v), (params.flat, want)):
+        assert got.dtype == np.float64
+        npt.assert_array_equal(got, expected)

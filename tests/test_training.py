@@ -649,3 +649,96 @@ def test_teacher_state_validation():
         TeacherState("coteaching", a, b)
     with pytest.raises(ValueError, match="module_kind"):
         TeacherState("boosting", a, a)
+
+
+def record_dtypes(monkeypatch):
+    """Wraps activations, gradient, adam_step and small_loss_select as
+    training calls them; returns the set of dtypes of every array they read
+    or write."""
+    seen = set()
+
+    def recording_activations(params, features):
+        acts = activations(params, features)
+        seen.update(a.dtype for a in [params.flat, *acts])
+        return acts
+
+    def recording_gradient(params, acts, loss_fn, out=None):
+        grads, losses = gradient(params, acts, loss_fn, out=out)
+        seen.update(a.dtype for a in (params.flat, grads.flat, losses))
+        return grads, losses
+
+    def recording_adam_step(params, state, grads, lr, scratch=None):
+        adam_step(params, state, grads, lr, scratch)
+        seen.update(a.dtype for a in (params.flat, state.m, state.v, grads.flat, scratch))
+
+    def recording_select(losses, keep_fraction, keys):
+        seen.add(losses.dtype)
+        return small_loss_select(losses, keep_fraction, keys)
+
+    monkeypatch.setattr(training, "activations", recording_activations)
+    monkeypatch.setattr(training, "gradient", recording_gradient)
+    monkeypatch.setattr(training, "adam_step", recording_adam_step)
+    monkeypatch.setattr(training, "small_loss_select", recording_select)
+    return seen
+
+
+@pytest.mark.parametrize("kind", training.MODULE_KINDS)
+def test_a_float32_pair_steps_in_float32(monkeypatch, kind):
+    seen = record_dtypes(monkeypatch)
+    noisy, _, _ = noisy_teacher_task()
+    state = init_teacher_state(kind, [4, 8, 3], np.random.default_rng(31))
+    pair_epoch(state, noisy, 0.7, 1e-3, make_batches(len(noisy), 16, np.random.default_rng(32)))
+    assert seen == {np.dtype(np.float32)}
+    for net in (state.net1, state.net2):
+        assert {net.params.flat.dtype, net.opt.m.dtype, net.opt.v.dtype} == {np.dtype(np.float32)}
+
+
+def test_training_builds_float32_networks(monkeypatch):
+    seen = record_dtypes(monkeypatch)
+    noisy, test, mask = noisy_teacher_task()
+    # numpy float64 config scalars must not lift the steps to float64
+    cfg = small_cfg(noise_rate_tau=0.4, base_lr=np.float64(1e-3), lambda_weight=np.float64(0.85))
+    teachers = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
+    student = train_student(noisy, test, cfg, test_set=test)
+    assert seen == {np.dtype(np.float32)}
+    nets = [teachers.jocor_state.net1, teachers.jocor_state.net2,
+            teachers.coteaching_state.net1, teachers.coteaching_state.net2]
+    assert {a.dtype for net in nets for a in (net.params.flat, net.opt.m, net.opt.v)} \
+        == {np.dtype(np.float32)}
+    assert student.params.flat.dtype == np.float32
+    assert noisy.features.dtype == np.float64
+
+
+def float64_logit_accuracy(params, dataset):
+    """The benchmark's student-accuracy rule: argmax of float64 logits,
+    computed from the network's weights as they are."""
+    a = dataset.features
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ w + b
+        if i < len(params.weights) - 1:
+            a = np.maximum(a, 0.0)
+    return float((a.argmax(axis=1) == dataset.labels).mean())
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_evaluate_a_float32_network_by_its_float64_logits(seed):
+    rng = np.random.default_rng(seed)
+    params = init_params([6, 16, 5], rng, np.float32)
+    ds = LabeledDataset(rng.normal(size=(2000, 6)), rng.integers(0, 5, 2000), 5)
+    assert evaluate(params, ds) == float64_logit_accuracy(params, ds)
+    assert params.flat.dtype == np.float32
+
+
+def test_evaluate_splits_classes_whose_float32_logits_tie():
+    # class 1's bias is one float32 step above class 0's and their weights are
+    # equal, so class 1 is ahead by 2**-23 in exact arithmetic; in float32 the
+    # two logits round to one value on most rows, and the tie goes to class 0
+    rng = np.random.default_rng(43)
+    params = init_params([6, 16, 3], rng, np.float32)
+    params.weights[-1][:, 1] = params.weights[-1][:, 0]
+    params.biases[-1][:] = [1.0, 1.0 + 2.0 ** -23, -100.0]
+    ds = LabeledDataset(rng.normal(size=(500, 6)), np.ones(500, dtype=int), 3)
+    acts = activations(params, ds.features)
+    logits = acts[-2] @ params.weights[-1] + params.biases[-1]
+    assert logits.dtype == np.float32 and (logits[:, 0] == logits[:, 1]).sum() > 100
+    assert evaluate(params, ds) == float64_logit_accuracy(params, ds) == 1.0
