@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-import os
 from collections import deque
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
@@ -36,6 +35,7 @@ from .network import FieldError, TrainConfig, _check_fields
 from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     EpochMetrics,
+    _fork_workers,
     _openblas_threads,
     evaluate,
     train_module,
@@ -325,32 +325,6 @@ def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult
     return cell
 
 
-def _default_start_method() -> str:
-    """The start method a multiprocessing context would use, read without
-    fixing it, so a later set_start_method call by the caller still works."""
-    import multiprocessing
-
-    return (multiprocessing.get_start_method(allow_none=True)
-            or multiprocessing.get_all_start_methods()[0])
-
-
-def _cell_workers(cells: int) -> int:
-    """How many worker processes train a grid's cells: one per usable CPU,
-    at most one per cell. 1 means in-process: fewer than two fit, no
-    OpenBLAS count can be pinned to one thread per worker, or the default
-    start method is not fork. Under spawn or forkserver each worker would
-    re-import the caller's __main__, which breaks scripts that run a grid
-    at module level."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cells, cpus)
-    if workers < 2 or _openblas_threads() is None or _default_start_method() != "fork":
-        return 1
-    return workers
-
-
 # the grid's splits in a worker process, set once by _start_worker
 _worker_splits = None
 
@@ -425,10 +399,11 @@ def run_experiment(config: ExperimentConfig,
 
     The splits and every cell's label noise are made in this process, in
     grid order. The cells then train in worker processes when more than
-    one fits the usable CPUs (see _cell_workers), else one after the other
-    here; the results are the same either way. Cell failures are recorded
-    in the per-cell error field; remaining cells still run. ``progress`` is
-    an optional callable fed one line per completed cell, in grid order.
+    one fits the usable CPUs (see training._fork_workers), else one after
+    the other here; the results are the same either way. Cell failures are
+    recorded in the per-cell error field; remaining cells still run.
+    ``progress`` is an optional callable fed one line per completed cell,
+    in grid order.
     """
     splits = _prepare_splits(config)
     cells, jobs = [], []
@@ -442,7 +417,7 @@ def run_experiment(config: ExperimentConfig,
             cells.append(cell)
     # closing shuts the worker pool down also when progress raises, once
     # the cells already training are done
-    with closing(_trained(jobs, splits, _cell_workers(len(jobs)))) as trained:
+    with closing(_trained(jobs, splits, _fork_workers(len(jobs)))) as trained:
         for i, cell in enumerate(cells):
             if cell.error is None:  # its noise is injected, so it has a job
                 cells[i] = cell = next(trained)

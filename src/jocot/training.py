@@ -14,9 +14,11 @@ train_teachers runs the joint-loss pair and the cross-update pair over a
 shared batch schedule and intersects their per-batch selections into the
 consensus clean set that feeds the student; train_module runs one pair
 through the same epoch loop. The two teacher pairs read nothing of each
-other within an epoch, so the second steps on a worker thread while the
-calling thread steps the first, with OpenBLAS pinned to one thread; when
-no OpenBLAS count can be pinned, both step on the calling thread.
+other, so the second runs its whole epoch loop in a forked child process
+while the calling thread steps the first, with OpenBLAS pinned to one
+thread in both. A worker thread gains little, since the GIL serialises
+most of a pair's many small numpy calls. Where _fork_workers allows no
+second process, both pairs step on the calling thread.
 train_student fits plain cross-entropy on a trusted subset, checkpointed
 by validation accuracy. Every network trains in float32, as the compared
 methods' PyTorch models did; evaluate scores it in float64.
@@ -26,11 +28,15 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import multiprocessing
+import os
+import signal
 import threading
+import traceback
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -121,28 +127,112 @@ class _BlasPin:
 _BLAS_PIN = _BlasPin()
 
 
+def _default_start_method() -> str:
+    """The start method a multiprocessing context would use, read without
+    fixing it, so a later set_start_method call by the caller still works."""
+    return (multiprocessing.get_start_method(allow_none=True)
+            or multiprocessing.get_all_start_methods()[0])
+
+
+def _fork_workers(jobs: int) -> int:
+    """How many forked processes share ``jobs`` independent jobs: one per
+    usable CPU, at most one per job. 1 means in this process: fewer than two
+    fit, no OpenBLAS count can be pinned to one thread per process, the
+    default start method is not fork, or this process is a daemon, which
+    multiprocessing lets start no process. Under spawn or forkserver each
+    process would re-import the caller's __main__, which breaks scripts
+    that train at module level."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, cpus)
+    if (workers < 2 or _openblas_threads() is None or _default_start_method() != "fork"
+            or multiprocessing.current_process().daemon):
+        return 1
+    return workers
+
+
 @contextmanager
-def _pair_worker(concurrent: bool):
-    """A one-thread executor for stepping pairs beside the calling thread,
-    with OpenBLAS pinned to one thread for the block through the shared
+def _blas_pinned():
+    """Pins OpenBLAS to one thread for the block through the shared
     _BLAS_PIN, which restores the caller's count once the last overlapping
     block has ended: two pairs each asking OpenBLAS for every core run
-    slower than one after the other. Yields None, and touches no BLAS
-    setting, when ``concurrent`` is false or no bundled OpenBLAS count can
-    be pinned; the caller then steps every pair itself."""
-    blas = _openblas_threads() if concurrent else None
+    slower than one after the other. Touches no BLAS setting when no
+    bundled OpenBLAS count can be pinned."""
+    blas = _openblas_threads()
     if blas is None:
-        yield None
+        yield
         return
     get, set_ = blas
     _BLAS_PIN.acquire(get, set_)
     try:
-        # leaving the executor waits for the worker, also when the calling
-        # thread raised; only then is the pin released
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="jocot-module") as worker:
-            yield worker
+        yield
     finally:
         _BLAS_PIN.release(set_)
+
+
+def _child_main(send, fn, args) -> None:
+    """The body of a _forked child: runs fn(*args) and sends back (result,
+    None), or (None, (exception, traceback text)). It ignores SIGINT, so a
+    Ctrl-C reaches the parent alone, which then terminates it, and pins its
+    own OpenBLAS to one thread. It takes no _BLAS_PIN lock: another thread
+    of the parent may have held that lock when the child was forked."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    blas = _openblas_threads()
+    if blas is not None:
+        blas[1](1)
+    try:
+        outcome = (fn(*args), None)
+    except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+        outcome = (None, (exc, traceback.format_exc()))
+    send.send(outcome)
+
+
+@contextmanager
+def _forked(fn, *args):
+    """Runs fn(*args) in a forked child process and yields a callable that
+    waits for its result. The child's exception is raised in the caller
+    with its type and message. A child that exits without a result raises
+    RuntimeError naming its exit code. If the block raises, KeyboardInterrupt
+    included, the child is terminated; it is joined either way."""
+    context = multiprocessing.get_context("fork")
+    recv, send = context.Pipe(duplex=False)
+    child = context.Process(target=_child_main, args=(send, fn, args),
+                            name="jocot-pair", daemon=True)
+    child.start()
+    send.close()
+
+    def result():
+        wait([recv, child.sentinel])
+        outcome = None
+        try:
+            # a child gone without a message leaves the pipe at its end,
+            # which poll reports as readable and recv as EOFError; poll, not
+            # a blocking recv, since a process that another thread forked
+            # meanwhile may hold a copy of the write end and keep it open
+            if recv.poll():
+                outcome = recv.recv()
+        except EOFError:
+            pass
+        if outcome is None:
+            child.join()
+            raise RuntimeError(f"the forked process {child.name} exited with code "
+                               f"{child.exitcode} before sending its result")
+        value, error = outcome
+        if error is not None:
+            exc, trace = error
+            raise exc from RuntimeError(f"in the forked process:\n{trace}")
+        return value
+
+    try:
+        yield result
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        recv.close()
+        child.join()
 
 
 @dataclass
@@ -313,76 +403,79 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
     return state
 
 
-def _epoch_clean(module_selections, n_total: int) -> np.ndarray:
-    """Boolean clean mask over the n_total samples from the modules'
-    per-batch peer selections.
-
-    Per batch: inner consensus within each module, then outer consensus
-    across modules, unioned over batches.
-    """
-    if len({len(sels) for sels in module_selections}) != 1:
-        raise ValueError("modules saw different batch counts")
-    clean = np.zeros(n_total, dtype=bool)
-    for batch_pairs in zip(*module_selections):
-        clean[consensus(*batch_pairs)] = True
-    return clean
+def _pair_epochs(config: TrainConfig, noisy_train: LabeledDataset, module_kind: str,
+                 init_role: int, shuffle_role: int, test_set: Optional[LabeledDataset]):
+    """One pair's whole epoch loop over the batch schedule of the
+    ``shuffle_role`` stream. Returns the pair's final state and, per epoch,
+    its inner-consensus mask over the samples (the union over batches of
+    the two peers' common picks), its peers' test accuracies (None without
+    a test set) and its mean selected loss."""
+    n = len(noisy_train)
+    dims = [noisy_train.feature_dim, *config.hidden_dims, noisy_train.num_classes]
+    state = init_teacher_state(module_kind, dims, _role_rng(config.seed, init_role))
+    shuffle_rng = _role_rng(config.seed, shuffle_role)
+    epochs = []
+    for epoch in range(config.total_epochs):
+        rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
+        batches = make_batches(n, config.batch_size, shuffle_rng)
+        state = pair_epoch(state, noisy_train, rate, lr_at(epoch, config), batches,
+                           lambda_weight=config.lambda_weight)
+        inner = np.zeros(n, dtype=bool)
+        for picks in state.epoch_selections:
+            inner[consensus(picks)] = True
+        accuracies = None
+        if test_set is not None:
+            accuracies = [evaluate(net.params, test_set) for net in (state.net1, state.net2)]
+        epochs.append((inner, accuracies, state.mean_selected_loss))
+    return state, epochs
 
 
 def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
                 shuffle_role: int, test_set: Optional[LabeledDataset],
                 noise_mask: Optional[NoiseMask]):
-    """The epoch loop of train_teachers and train_module: one pair_epoch per
-    (module_kind, rng role) in init_roles over a shared batch schedule, then
-    consensus, evaluation (test accuracy is the peer mean) and metrics.
-    With more than one pair and an OpenBLAS count to pin, the calling thread
-    steps the first pair and one worker thread the others; numpy releases
-    the GIL in BLAS and in its array loops, so two pairs keep two cores
-    busy. Otherwise the calling thread steps every pair and BLAS is left
-    as the caller set it. The worker lives for one call, so a process
-    forked after training inherits no thread pool whose thread it lacks.
-    Returns the final states, the metrics and every epoch's clean mask."""
+    """The epoch loop of train_teachers and train_module: one _pair_epochs
+    per (module_kind, rng role) in init_roles, each over the same batch
+    schedule, then consensus, evaluation (test accuracy is the peer mean)
+    and metrics. The pairs share nothing but the schedule, so with two
+    pairs and _fork_workers allowing two processes the calling thread steps
+    the first pair while one forked child steps the second, with OpenBLAS
+    pinned to one thread in both; a thread would gain little, since the
+    GIL serialises most of a pair's many small numpy calls. Otherwise the
+    calling thread steps every pair and BLAS is left as the caller set it.
+    The batches partition the samples, so an epoch's clean mask, the union
+    over batches of the per-batch consensus, is the AND of the pairs'
+    inner-consensus masks. Returns the final states, the metrics and every
+    epoch's clean mask."""
     if len(noisy_train) == 0:
         raise ValueError("noisy_train is empty")
-    n = len(noisy_train)
-    dims = [noisy_train.feature_dim, *config.hidden_dims, noisy_train.num_classes]
-    states = [init_teacher_state(kind, dims, _role_rng(config.seed, role))
-              for kind, role in init_roles]
-    shuffle_rng = _role_rng(config.seed, shuffle_role)
+    run = functools.partial(_pair_epochs, config, noisy_train,
+                            shuffle_role=shuffle_role, test_set=test_set)
+    if len(init_roles) == 2 and _fork_workers(2) == 2:
+        with _blas_pinned(), _forked(run, *init_roles[1]) as second:
+            pairs = [run(*init_roles[0]), second()]
+    else:
+        pairs = [run(*roles) for roles in init_roles]
     metrics: List[EpochMetrics] = []
     clean_masks: List[np.ndarray] = []
-    with _pair_worker(len(states) > 1) as worker:
-        for epoch in range(config.total_epochs):
-            rate = remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau)
-            lr = lr_at(epoch, config)
-            batches = make_batches(n, config.batch_size, shuffle_rng)
-            args = (noisy_train, rate, lr, batches)
-            kwargs = {"lambda_weight": config.lambda_weight}
-            if worker is None:
-                states = [pair_epoch(s, *args, **kwargs) for s in states]
-            else:
-                futures = [worker.submit(pair_epoch, s, *args, **kwargs) for s in states[1:]]
-                states = [pair_epoch(states[0], *args, **kwargs),
-                          *(f.result() for f in futures)]
-            clean = _epoch_clean([s.epoch_selections for s in states], n)
-            clean_masks.append(clean)
-            precision = None
-            if noise_mask is not None and noise_mask.num_flipped > 0:
-                precision = noisy_label_precision(~clean, noise_mask)
-            test_acc = None
-            if test_set is not None:
-                test_acc = float(np.mean([evaluate(net.params, test_set)
-                                          for s in states for net in (s.net1, s.net2)]))
-            msl_parts = [s.mean_selected_loss for s in states
-                         if s.mean_selected_loss is not None]
-            metrics.append(EpochMetrics(
-                epoch=epoch,
-                test_accuracy=test_acc,
-                noisy_label_precision=precision,
-                remember_rate=rate,
-                mean_selected_loss=float(np.mean(msl_parts)) if msl_parts else None,
-                lr=lr,
-            ))
-    return states, metrics, clean_masks
+    for epoch, per_pair in enumerate(zip(*(epochs for _, epochs in pairs))):
+        clean = functools.reduce(np.logical_and, [inner for inner, _, _ in per_pair])
+        clean_masks.append(clean)
+        precision = None
+        if noise_mask is not None and noise_mask.num_flipped > 0:
+            precision = noisy_label_precision(~clean, noise_mask)
+        test_acc = None
+        if test_set is not None:
+            test_acc = float(np.mean([acc for _, accs, _ in per_pair for acc in accs]))
+        msl_parts = [msl for _, _, msl in per_pair if msl is not None]
+        metrics.append(EpochMetrics(
+            epoch=epoch,
+            test_accuracy=test_acc,
+            noisy_label_precision=precision,
+            remember_rate=remember_rate(epoch, config.num_gradual_T, config.noise_rate_tau),
+            mean_selected_loss=float(np.mean(msl_parts)) if msl_parts else None,
+            lr=lr_at(epoch, config),
+        ))
+    return [state for state, _ in pairs], metrics, clean_masks
 
 
 def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, *,

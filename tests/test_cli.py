@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import jocot.experiment as experiment
+import jocot.training as training
 from jocot.cli import main
 from jocot.data import load_csv
 
@@ -145,7 +146,7 @@ def test_run_nonzero_exit_when_cell_fails(tmp_path, monkeypatch):
     assert summary[1].split(",")[4] == ""  # metrics blank for the failed cell
 
 
-@pytest.mark.skipif(experiment._default_start_method() != "fork",
+@pytest.mark.skipif(training._default_start_method() != "fork",
                     reason="cells train in worker processes only where fork is the default")
 def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
     original = experiment.train_student
@@ -156,7 +157,7 @@ def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
         return original(clean_train, clean_val, cfg, **kw)
 
     monkeypatch.setattr(experiment, "train_student", dying)
-    monkeypatch.setattr(experiment, "_cell_workers", lambda cells: 2)
+    monkeypatch.setattr(experiment, "_fork_workers", lambda cells: 2)
     config = write_config(tmp_path)
     assert main(["run", "--config", str(config), "--seeds", "1,2"]) == 1
     out_dir = tmp_path / "results"

@@ -1,6 +1,7 @@
 """Experiment runner: config parsing, grid execution, metric emission."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import jocot.experiment as experiment
+import jocot.training as training
 from jocot.experiment import (
     CellResult,
     ExperimentConfig,
@@ -28,12 +30,12 @@ TINY_TRAIN = {"total_epochs": 4, "decay_start_epoch": 3, "batch_size": 16,
 
 
 needs_fork = pytest.mark.skipif(
-    experiment._default_start_method() != "fork",
+    training._default_start_method() != "fork",
     reason="cells train in worker processes only where fork is the default")
 
 
 def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(experiment, "_cell_workers", lambda cells: workers)
+    monkeypatch.setattr(experiment, "_fork_workers", lambda cells: workers)
 
 
 def tiny_config(**kw):
@@ -268,6 +270,31 @@ def test_worker_processes_isolate_cell_failures(monkeypatch):
     assert len(result.cells[1].student_metrics) == 4
 
 
+@needs_fork
+def test_a_teacher_process_that_dies_fails_its_cell_only(monkeypatch):
+    # the cells train here, and each jocot cell forks its second teacher pair
+    force_workers(monkeypatch, 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(training, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
+    cfg = tiny_config(seeds=(1, 2, 3))
+    clean = run_experiment(cfg)
+    original = training._pair_epochs
+
+    def dying(config, noisy_train, module_kind, *args, **kwargs):
+        if config.seed == 2 and module_kind == "coteaching":
+            assert multiprocessing.current_process().name == "jocot-pair"
+            os._exit(3)
+        return original(config, noisy_train, module_kind, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_pair_epochs", dying)
+    result = run_experiment(cfg)
+    assert [c.succeeded for c in result.cells] == [True, False, True]
+    assert result.cells[1].error == (
+        "RuntimeError: the forked process jocot-pair exited with code 3 "
+        "before sending its result")
+    assert result.cells[0] == clean.cells[0] and result.cells[2] == clean.cells[2]
+
+
 @pytest.mark.parametrize("method", ["coteachingplus", "ce_baseline", "jocot"])
 def test_outputs_ignore_the_worker_count(tmp_path, monkeypatch, method):
     cfg = tiny_config(method=method, rates=(0.2, 0.4), seeds=(1, 2))
@@ -315,21 +342,21 @@ def test_a_grid_stopped_early_starts_no_further_cell(tmp_path, monkeypatch, stop
     (8, None, True, "fork", 2),  # no affinity call: os.cpu_count()
 ])
 def test_cell_workers_rule(monkeypatch, cells, cpus, blas, start, workers):
-    monkeypatch.setattr(experiment, "_openblas_threads",
+    monkeypatch.setattr(training, "_openblas_threads",
                         lambda: (None, None) if blas else None)
-    monkeypatch.setattr(experiment, "_default_start_method", lambda: start)
+    monkeypatch.setattr(training, "_default_start_method", lambda: start)
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-    assert experiment._cell_workers(cells) == workers
+    assert training._fork_workers(cells) == workers
 
 
 def test_reading_the_start_method_leaves_it_unset():
     # a caller may still choose its own start method after a grid has run
-    code = ("import multiprocessing, jocot.experiment as e; e._default_start_method(); "
+    code = ("import multiprocessing, jocot.training as t; t._default_start_method(); "
             "multiprocessing.set_start_method('spawn')")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

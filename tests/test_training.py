@@ -1,10 +1,13 @@
 """Training paradigms: planted-sample selection, cross-update wiring,
 consensus orchestration, student checkpointing, determinism."""
 
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -357,16 +360,44 @@ def fake_blas(monkeypatch):
     return sets
 
 
-def record_pair_threads(monkeypatch):
-    """Wraps pair_epoch; returns {module_kind: set of thread idents that stepped it}."""
-    threads = {}
+def record_pair_calls(monkeypatch, log, before=None):
+    """Wraps pair_epoch so that every call, in this process or in a forked
+    child, appends its module_kind, process id, OpenBLAS thread count (0
+    without one) and whether SIGINT is ignored to the file ``log``, then
+    calls ``before(state)`` if given. Returns a reader of those records."""
 
     def recording(state, *args, **kwargs):
-        threads.setdefault(state.module_kind, set()).add(threading.get_ident())
+        blas = training._openblas_threads()
+        ignored = signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        with open(log, "a") as f:
+            f.write(f"{state.module_kind} {os.getpid()} {blas[0]() if blas else 0} "
+                    f"{int(ignored)}\n")
+        if before is not None:
+            before(state)
         return pair_epoch(state, *args, **kwargs)
 
     monkeypatch.setattr(training, "pair_epoch", recording)
-    return threads
+
+    def calls():
+        text = log.read_text() if log.exists() else ""
+        return [(kind, int(pid), int(blas), ignored == "1")
+                for kind, pid, blas, ignored in map(str.split, text.splitlines())]
+
+    return calls
+
+
+def pids_by_kind(calls):
+    return {kind: {pid for k, pid, *_ in calls if k == kind} for kind, *_ in calls}
+
+
+needs_fork = pytest.mark.skipif(training._default_start_method() != "fork",
+                                reason="the teachers fork only where fork is the default")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, whatever the machine has, so the teachers fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def noisy_teacher_task(seed=30):
@@ -376,18 +407,24 @@ def noisy_teacher_task(seed=30):
     return noisy, synthesize(3, 10, dim=4, separation=2.0, seed=seed + 2), mask
 
 
-def test_train_teachers_concurrent_equals_inline(monkeypatch, fake_blas):
+@needs_fork
+def test_train_teachers_concurrent_equals_inline(monkeypatch, fake_blas, two_cpus, tmp_path):
     noisy, test, mask = noisy_teacher_task()
     cfg = small_cfg(noise_rate_tau=0.4, hidden_dims=(16, 8), seed=2)
-    threads = record_pair_threads(monkeypatch)
+    calls = record_pair_calls(monkeypatch, tmp_path / "calls")
     concurrent = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
-    # the calling thread steps the joint-loss pair, the worker the other
-    assert threads["jocor"] == {threading.get_ident()}
-    assert len(threads["coteaching"]) == 1 and threads["coteaching"] != threads["jocor"]
+    # this process steps the joint-loss pair, one forked child the other,
+    # which ignores SIGINT so a Ctrl-C reaches the parent alone
+    pids = pids_by_kind(calls())
+    assert pids["jocor"] == {os.getpid()}
+    assert len(pids["coteaching"]) == 1 and pids["coteaching"] != pids["jocor"]
+    assert {(kind, ignored) for kind, _, _, ignored in calls()} == {
+        ("jocor", False), ("coteaching", True)}
     assert fake_blas == [1, 2]
-    # with no OpenBLAS count to pin, both pairs step on the calling thread
+    # with no OpenBLAS count to pin, both pairs step in this process
     monkeypatch.setattr(training, "_openblas_threads", lambda: None)
     inline = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
+    assert pids_by_kind(calls()[10:]) == {"jocor": {os.getpid()}, "coteaching": {os.getpid()}}
 
     npt.assert_array_equal(concurrent.final_selection.indices, inline.final_selection.indices)
     assert concurrent.metrics == inline.metrics
@@ -424,78 +461,132 @@ def blas_at_two_threads():
         set_(before)
 
 
+@needs_fork
 @needs_openblas
-def test_train_teachers_pins_one_blas_thread_then_restores(monkeypatch, blas_at_two_threads):
+def test_train_teachers_pins_one_blas_thread_then_restores(monkeypatch, blas_at_two_threads,
+                                                           two_cpus, tmp_path):
     get, caller_count = blas_at_two_threads
-    seen = []
-
-    def recording(state, *args, **kwargs):
-        seen.append(get())
-        return pair_epoch(state, *args, **kwargs)
-
-    monkeypatch.setattr(training, "pair_epoch", recording)
+    calls = record_pair_calls(monkeypatch, tmp_path / "calls")
     noisy, _, _ = noisy_teacher_task()
     train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
-    assert seen == [1] * 10
+    # both processes, five epochs each, every one on one BLAS thread
+    assert sorted((kind, blas) for kind, _, blas, _ in calls()) == (
+        [("coteaching", 1)] * 5 + [("jocor", 1)] * 5)
+    assert len(set(pid for _, pid, _, _ in calls())) == 2
     assert get() == caller_count
 
 
+@needs_fork
 @needs_openblas
-def test_worker_error_reaches_caller_and_blas_count_restored(monkeypatch, blas_at_two_threads):
+def test_worker_error_reaches_caller_and_blas_count_restored(monkeypatch, blas_at_two_threads,
+                                                             two_cpus):
     get, caller_count = blas_at_two_threads
-    error = RuntimeError("cross-update pair failed")
 
     def failing(state, *args, **kwargs):
         if state.module_kind == "coteaching":
-            raise error
+            raise ValueError("cross-update pair failed")
         return pair_epoch(state, *args, **kwargs)
 
     monkeypatch.setattr(training, "pair_epoch", failing)
     noisy, _, _ = noisy_teacher_task()
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(ValueError) as info:
         train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
-    assert info.value is error
+    # the child's exception crossed a process boundary: same type and message
+    assert type(info.value) is ValueError
+    assert str(info.value) == "cross-update pair failed"
+    assert "failing" in str(info.value.__cause__)  # the child's traceback
     assert get() == caller_count
 
 
-def test_no_worker_when_no_blas_count_can_be_pinned(monkeypatch):
+def test_no_worker_when_no_blas_count_can_be_pinned(monkeypatch, two_cpus, tmp_path):
     # two pairs on unpinned BLAS each ask for every core and run slower
-    # than one after the other, so no worker is started
-    def no_executor(**kwargs):
-        raise AssertionError("no worker expected")
+    # than one after the other, so no child is forked
+    def no_fork(*args):
+        raise AssertionError("no child expected")
 
     monkeypatch.setattr(training, "_openblas_threads", lambda: None)
-    monkeypatch.setattr(training, "ThreadPoolExecutor", no_executor)
-    threads = record_pair_threads(monkeypatch)
+    monkeypatch.setattr(training, "_forked", no_fork)
+    calls = record_pair_calls(monkeypatch, tmp_path / "calls")
     noisy, _, _ = noisy_teacher_task()
     train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
-    assert threads == {"jocor": {threading.get_ident()},
-                       "coteaching": {threading.get_ident()}}
+    assert pids_by_kind(calls()) == {"jocor": {os.getpid()}, "coteaching": {os.getpid()}}
 
 
-def test_train_module_leaves_blas_and_threads_alone(monkeypatch, fake_blas):
-    threads = record_pair_threads(monkeypatch)
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError("joint-loss pair failed"), KeyboardInterrupt()])
+def test_an_error_in_the_parent_terminates_the_child(monkeypatch, two_cpus, tmp_path, error):
+    log = tmp_path / "calls"
+
+    def before(state):
+        if state.module_kind == "coteaching":
+            time.sleep(120)  # unless terminated, the child outlives the bound below
+            os._exit(1)
+        else:
+            # raise once the child is stepping its pair
+            deadline = time.monotonic() + 60
+            while not any(kind == "coteaching" for kind, *_ in calls()):
+                assert time.monotonic() < deadline, "the child never started"
+                time.sleep(0.01)
+            raise error
+
+    calls = record_pair_calls(monkeypatch, log, before)
+    noisy, _, _ = noisy_teacher_task()
+    start = time.monotonic()
+    with pytest.raises(type(error)):
+        train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
+    assert time.monotonic() - start < 60
+    assert multiprocessing.active_children() == []
+    (child,) = pids_by_kind(calls())["coteaching"]
+    with pytest.raises(ProcessLookupError):
+        os.kill(child, 0)  # terminated and reaped
+
+
+@needs_fork
+def test_a_child_that_dies_raises_naming_its_exit_code(monkeypatch, two_cpus):
+    def dying(state, *args, **kwargs):
+        if state.module_kind == "coteaching":
+            os._exit(3)
+        return pair_epoch(state, *args, **kwargs)
+
+    monkeypatch.setattr(training, "pair_epoch", dying)
+    noisy, _, _ = noisy_teacher_task()
+    with pytest.raises(RuntimeError, match="exited with code 3 before sending its result"):
+        train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
+
+
+@needs_fork
+def test_a_daemon_process_forks_no_child(monkeypatch, fake_blas, two_cpus):
+    # multiprocessing lets a daemon start no process, and pool workers are daemons
+    assert training._fork_workers(2) == 2
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(training._fork_workers, (2,)) == 1
+        noisy, _, _ = noisy_teacher_task()
+        result = pool.apply(train_teachers, (small_cfg(noise_rate_tau=0.4), noisy))
+    assert len(result.metrics) == 5
+
+
+def test_train_module_leaves_blas_and_threads_alone(monkeypatch, fake_blas, two_cpus, tmp_path):
+    calls = record_pair_calls(monkeypatch, tmp_path / "calls")
     noisy, _, _ = noisy_teacher_task()
     train_module(small_cfg(noise_rate_tau=0.4), "coteaching", noisy)
-    assert threads == {"coteaching": {threading.get_ident()}}
+    assert pids_by_kind(calls()) == {"coteaching": {os.getpid()}}
     assert fake_blas == []
 
 
-def test_overlapping_callers_share_one_blas_pin(monkeypatch, fake_blas):
+@needs_fork
+def test_overlapping_callers_share_one_blas_pin(monkeypatch, fake_blas, two_cpus, tmp_path):
     # the count is process-wide: a caller that finishes first must not
     # restore it while the other still trains
     get = training._openblas_threads()[0]
     both_pinned = threading.Barrier(2, timeout=60)
-    seen, waited = [], set()
+    waited = set()
 
-    def recording(state, *args, **kwargs):
+    def before(state):
         if state.module_kind == "jocor" and threading.get_ident() not in waited:
             waited.add(threading.get_ident())
             both_pinned.wait()
-        seen.append(get())
-        return pair_epoch(state, *args, **kwargs)
 
-    monkeypatch.setattr(training, "pair_epoch", recording)
+    calls = record_pair_calls(monkeypatch, tmp_path / "calls", before)
     noisy, _, _ = noisy_teacher_task()
     errors = []
 
@@ -513,7 +604,9 @@ def test_overlapping_callers_share_one_blas_pin(monkeypatch, fake_blas):
         t.join(timeout=120)
         assert not t.is_alive()
     assert errors == []
-    assert len(seen) == 2 * (2 + 8) and set(seen) == {1}
+    # each caller forked one child; every call in every process saw one thread
+    assert len(calls()) == 2 * (2 + 8) and {blas for _, _, blas, _ in calls()} == {1}
+    assert len(pids_by_kind(calls())["coteaching"]) == 2
     assert fake_blas == [1, 2]
     assert get() == 2
 
