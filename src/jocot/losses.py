@@ -4,6 +4,8 @@ Each *_batch function evaluates its loss row by row over (n, M) probability
 matrices; a single sample is a one-row batch. The make_*_loss_fn closures
 adapt each loss to the callback signature of network.gradient, returning
 per-sample losses together with their derivatives w.r.t. the probabilities.
+The pair step in training reads the same values through _ce, _ce_prob_grad
+and _jocor_terms, computed once over a whole batch.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
 def ce_batch(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """-log(probs[i, labels[i]]) for each row, with the probability floor."""
     probs = np.asarray(probs)
-    labels = _check_labels(labels, probs.shape[1])
-    picked = _floor(probs[np.arange(probs.shape[0]), labels])
-    return -np.log(picked)
+    return _ce(probs, _check_labels(labels, probs.shape[1]))
+
+
+def _ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """ce_batch for labels that _check_labels has passed."""
+    return -np.log(_floor(probs[np.arange(probs.shape[0]), labels]))
 
 
 def symmetric_kl_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -52,10 +57,14 @@ def symmetric_kl_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def jocor_batch(probs1: np.ndarray, probs2: np.ndarray, labels: np.ndarray,
                 lambda_weight: float) -> np.ndarray:
     """(1-lambda)*(ce1 + ce2) + lambda*(symmetric KL), per sample."""
-    if not 0.0 <= lambda_weight <= 1.0:
-        raise ValueError(f"lambda_weight {lambda_weight} outside [0, 1]")
+    _check_lambda(lambda_weight)
     ce = ce_batch(probs1, labels) + ce_batch(probs2, labels)
     return (1.0 - lambda_weight) * ce + lambda_weight * symmetric_kl_batch(probs1, probs2)
+
+
+def _check_lambda(lambda_weight: float) -> None:
+    if not 0.0 <= lambda_weight <= 1.0:
+        raise ValueError(f"lambda_weight {lambda_weight} outside [0, 1]")
 
 
 def _ce_prob_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -82,7 +91,7 @@ def make_ce_loss_fn(labels: np.ndarray):
 
     def loss_fn(probs: np.ndarray):
         checked = _check_labels(labels, probs.shape[1])
-        return ce_batch(probs, checked), _ce_prob_grad(probs, checked)
+        return _ce(probs, checked), _ce_prob_grad(probs, checked)
 
     return loss_fn
 
@@ -106,3 +115,31 @@ def make_joint_loss_fn(other_probs: np.ndarray, labels: np.ndarray, lambda_weigh
         return losses, grad
 
     return loss_fn
+
+
+def _jocor_terms(probs1: np.ndarray, probs2: np.ndarray, labels: np.ndarray,
+                 lambda_weight: float):
+    """What a jocor pair step reads of one batch, each computed once over
+    every row, for labels that _check_labels has passed: each peer's
+    ranking loss (1-lambda)*own CE + lambda*symmetric KL, the joint loss
+    jocor_batch gives (the same for both peers, since + and the symmetric
+    KL commute bit for bit), and the joint loss's derivative w.r.t. each
+    peer's probabilities with the other's held constant, as the
+    make_joint_loss_fn of either peer computes it on the same rows."""
+    _check_lambda(lambda_weight)
+    ce1, ce2 = _ce(probs1, labels), _ce(probs2, labels)
+    f1, f2 = _floor(probs1), _floor(probs2)
+    log1, log2 = np.log(f1), np.log(f2)
+    d12, d21 = log1 - log2, log2 - log1
+    kl = (f1 * d12 + f2 * d21).sum(axis=1)
+    rank1 = (1.0 - lambda_weight) * ce1 + lambda_weight * kl
+    rank2 = (1.0 - lambda_weight) * ce2 + lambda_weight * kl
+    joint = (1.0 - lambda_weight) * (ce1 + ce2) + lambda_weight * kl
+    dprobs = []
+    for probs, d, own, other in ((probs1, d12, f1, f2), (probs2, d21, f2, f1)):
+        kl_grad = d + 1.0 - other / own
+        kl_grad[probs <= PROB_FLOOR] = 0.0
+        grad = (1.0 - lambda_weight) * _ce_prob_grad(probs, labels)
+        grad += lambda_weight * kl_grad
+        dprobs.append(grad)
+    return rank1, rank2, joint, dprobs[0], dprobs[1]

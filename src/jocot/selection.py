@@ -71,11 +71,18 @@ def small_loss_select(losses, keep_fraction: float, keys) -> np.ndarray:
         raise ValueError(f"keep_fraction {keep_fraction} outside (0, 1]")
     if not np.isfinite(losses).all():
         raise ValueError("non-finite loss values")
+    keys = np.asarray(keys)
+    if keys.shape != losses.shape:
+        raise ValueError(f"keys of shape {keys.shape} do not match losses of shape {losses.shape}")
     # tiny slack so binary round-up (e.g. 0.75*4 -> 3.0000000000000004)
     # cannot inflate the ceiling
     k = max(1, math.ceil(keep_fraction * losses.size - 1e-12))
-    picked = np.lexsort((keys, losses))[:k]
-    return picked[np.argsort(np.asarray(keys)[picked])]
+    # a stable sort of the losses in key order ranks ties by key, as
+    # lexsort((keys, losses)) would; sorting the first k of those ranks
+    # puts the picks back in key order
+    order = np.argsort(keys)
+    ranked = np.argsort(losses[order], kind="stable")
+    return order[np.sort(ranked[:k])]
 
 
 def consensus(*pairs) -> np.ndarray:

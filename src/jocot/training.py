@@ -43,7 +43,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .data import LabeledDataset
-from .losses import ce_batch, make_ce_loss_fn, make_joint_loss_fn, symmetric_kl_batch
+from .losses import _ce, _ce_prob_grad, _check_labels, _jocor_terms
 from .network import (
     ModelParams,
     OptimizerState,
@@ -57,7 +57,7 @@ from .network import (
     lr_at,
 )
 from .noise import NoiseMask, noisy_label_precision
-from .selection import SelectionSet, consensus, remember_rate, small_loss_select
+from .selection import SelectionSet, remember_rate, small_loss_select
 
 MODULE_KINDS = ("coteaching", "jocor", "coteachingplus")
 
@@ -358,6 +358,7 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
     net1, net2 = state.net1, state.net2
     # both peers share one layout, so they take turns with one block
     grads, scratch = _step_buffers(net1.params)
+    labels = _check_labels(noisy_train.labels, net1.params.layer_dims[-1])
     selections = []
     batch_losses = []
     for idx in batches:
@@ -365,14 +366,21 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
         if idx.size == 0:
             warnings.warn("skipping empty batch", stacklevel=2)
             continue
-        x, y = noisy_train.features[idx], noisy_train.labels[idx]
+        # one cast serves both peers
+        x = np.asarray(noisy_train.features[idx], dtype=net1.params.flat.dtype)
         acts1, acts2 = activations(net1.params, x), activations(net2.params, x)
         probs1, probs2 = acts1[-1], acts2[-1]
-        rank1, rank2 = ce_batch(probs1, y), ce_batch(probs2, y)
+        y = labels[idx]
+        # each update's per-sample losses and derivatives are its rows of
+        # these whole-batch arrays of the ranking pass, equal bit for bit to
+        # what make_ce_loss_fn and make_joint_loss_fn give on those rows
         if kind == "jocor":
-            contrastive = symmetric_kl_batch(probs1, probs2)
-            rank1 = (1.0 - lambda_weight) * rank1 + lambda_weight * contrastive
-            rank2 = (1.0 - lambda_weight) * rank2 + lambda_weight * contrastive
+            rank1, rank2, joint, dprobs1, dprobs2 = _jocor_terms(probs1, probs2, y,
+                                                                 lambda_weight)
+            update_terms = (joint, dprobs1), (joint, dprobs2)
+        else:
+            rank1, rank2 = _ce(probs1, y), _ce(probs2, y)
+            update_terms = (rank1, _ce_prob_grad(probs1, y)), (rank2, _ce_prob_grad(probs2, y))
         active = np.arange(idx.size)
         if kind == "coteachingplus":
             disagree = probs1.argmax(axis=1) != probs2.argmax(axis=1)
@@ -385,17 +393,13 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
         pos2 = active[small_loss_select(rank2[active], keep_fraction, keys)]
         # jocor: each peer learns from its own selection; otherwise from the other's
         upd1, upd2 = (pos1, pos2) if kind == "jocor" else (pos2, pos1)
-        if kind == "jocor":
-            # both gradients flow from the same pre-update prediction pair
-            loss1 = make_joint_loss_fn(probs2[upd1], y[upd1], lambda_weight)
-            loss2 = make_joint_loss_fn(probs1[upd2], y[upd2], lambda_weight)
-        else:
-            loss1, loss2 = make_ce_loss_fn(y[upd1]), make_ce_loss_fn(y[upd2])
         upd_losses = []
-        for net, acts, upd, loss_fn in ((net1, acts1, upd1, loss1), (net2, acts2, upd2, loss2)):
-            _, losses = gradient(net.params, [a[upd] for a in acts], loss_fn, out=grads)
+        for net, acts, upd, (losses, dprobs) in zip((net1, net2), (acts1, acts2), (upd1, upd2),
+                                                    update_terms):
+            rows = losses[upd], dprobs[upd]
+            gradient(net.params, [a[upd] for a in acts], lambda _: rows, out=grads)
             adam_step(net.params, net.opt, grads, lr, scratch)
-            upd_losses.append(losses.mean())
+            upd_losses.append(rows[0].mean())
         batch_losses.append(0.5 * (upd_losses[0] + upd_losses[1]))
         selections.append((idx[pos1], idx[pos2]))
     state.epoch_selections = selections
@@ -420,9 +424,13 @@ def _pair_epochs(config: TrainConfig, noisy_train: LabeledDataset, module_kind: 
         batches = make_batches(n, config.batch_size, shuffle_rng)
         state = pair_epoch(state, noisy_train, rate, lr_at(epoch, config), batches,
                            lambda_weight=config.lambda_weight)
-        inner = np.zeros(n, dtype=bool)
-        for picks in state.epoch_selections:
-            inner[consensus(picks)] = True
+        # the batches partition the samples, so the union over batches of the
+        # peers' common picks is the AND of each peer's picks over the epoch
+        picked1, picked2 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        for picks1, picks2 in state.epoch_selections:
+            picked1[picks1] = True
+            picked2[picks2] = True
+        inner = picked1 & picked2
         accuracies = None
         if test_set is not None:
             accuracies = [evaluate(net.params, test_set) for net in (state.net1, state.net2)]
@@ -528,6 +536,7 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
     params = init_params(dims, _role_rng(config.seed, _ROLE_STUDENT_INIT), _TRAIN_DTYPE)
     opt = adam_init(params)
     grads, scratch = _step_buffers(params)
+    labels = _check_labels(clean_train.labels, dims[-1])
     shuffle_rng = _role_rng(config.seed, _ROLE_STUDENT_SHUFFLE)
 
     metrics: List[EpochMetrics] = []
@@ -539,10 +548,11 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
         batch_losses = []
         for idx in make_batches(n, config.batch_size, shuffle_rng):
             acts = activations(params, clean_train.features[idx])
-            _, losses = gradient(params, acts, make_ce_loss_fn(clean_train.labels[idx]),
-                                 out=grads)
+            y = labels[idx]
+            rows = _ce(acts[-1], y), _ce_prob_grad(acts[-1], y)
+            gradient(params, acts, lambda _: rows, out=grads)
             adam_step(params, opt, grads, lr, scratch)
-            batch_losses.append(float(losses.mean()))
+            batch_losses.append(float(rows[0].mean()))
         val_acc = evaluate(params, clean_val)
         test_acc = evaluate(params, test_set) if test_set is not None else None
         if val_acc > best_val:

@@ -10,6 +10,7 @@ import pytest
 from jocot.network import (
     ModelParams,
     TrainConfig,
+    _softmax,
     activations,
     adam_init,
     adam_step,
@@ -33,6 +34,27 @@ def test_forward_rows_are_distributions():
     assert probs.shape == (7, 4)
     assert (probs > 0).all()
     npt.assert_allclose(probs.sum(axis=1), np.ones(7), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_softmax_equals_the_row_max_shift_bitwise(dtype, layout):
+    # the row max is taken over a transposed copy; a max is exact in any
+    # order, so the probabilities match the plain row-max shift bit for bit
+    rng = np.random.default_rng(9)
+    logits = (rng.normal(size=(64, 24)) * 30).astype(dtype)
+    logits[0] = 0.0
+    logits[0, ::3] = -0.0  # a row whose max is a signed zero
+    logits[1, :5] = logits[1].max()  # a tied max
+    if layout == "F":
+        logits = np.asfortranarray(logits)
+    elif layout == "strided":
+        logits = logits[::2, ::2]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    want = e / e.sum(axis=1, keepdims=True)
+    got = _softmax(logits)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_forward_shift_invariance_of_softmax():

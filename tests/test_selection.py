@@ -229,3 +229,16 @@ def test_small_loss_select_keys_invariant_under_permutation(data, losses, keep):
     after = [shuffled_keys[i]
              for i in small_loss_select([losses[i] for i in order], keep, shuffled_keys)]
     assert before == after
+
+
+@given(st.data(), st.sampled_from([np.float32, np.float64]),
+       st.lists(st.sampled_from([0.0, -0.0, 1e-7, 0.25, 0.5, 3.0]), min_size=1, max_size=60),
+       _fractions)
+def test_small_loss_select_equals_lexsort(data, dtype, values, keep):
+    # a handful of values forces ties, which go to the smaller key
+    losses = np.array(values, dtype=dtype)
+    keys = np.array(data.draw(_distinct_keys(len(values))), dtype=np.intp)
+    k = max(1, math.ceil(keep * len(values) - 1e-12))
+    picked = np.lexsort((keys, losses))[:k]
+    want = picked[np.argsort(keys[picked])]
+    assert small_loss_select(losses, keep, keys).tolist() == want.tolist()

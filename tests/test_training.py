@@ -1,6 +1,7 @@
 """Training paradigms: planted-sample selection, cross-update wiring,
 consensus orchestration, student checkpointing, determinism."""
 
+import math
 import multiprocessing
 import os
 import signal
@@ -16,7 +17,7 @@ import pytest
 
 import jocot.training as training
 from jocot.data import LabeledDataset, synthesize
-from jocot.losses import ce_batch, make_ce_loss_fn
+from jocot.losses import ce_batch, make_ce_loss_fn, make_joint_loss_fn, symmetric_kl_batch
 from jocot.network import (
     ModelParams,
     TrainConfig,
@@ -120,37 +121,90 @@ def test_coteaching_keep_all_selects_whole_batch():
     assert tuple(sel1) == tuple(range(8)) and tuple(sel2) == tuple(range(8))
 
 
-def test_coteaching_cross_update_wiring_exact():
-    # recompute the epoch by hand and demand bitwise-equal parameters;
-    # catches any own-selection/peer-selection mixup
+def lexsort_select(losses, keep_fraction, keys):
+    """Selection oracle: the k smallest losses, ties to the smaller key, as
+    ascending keys."""
+    k = math.ceil(keep_fraction * len(losses) - 1e-12)
+    return np.sort(keys[np.lexsort((keys, losses))[:k]])
+
+
+def test_coteaching_cross_update_wiring_exact(monkeypatch):
+    # every kind, in float32 and float64: recompute the epoch by hand from
+    # the public loss functions and demand bitwise-equal parameters,
+    # selections, mean selected loss and per-update losses and derivatives;
+    # catches any own-selection/peer-selection mixup, and any drift of the
+    # step's whole-batch loss arrays from ce_batch, symmetric_kl_batch and
+    # the make_*_loss_fn callbacks
+    updates = []
+
+    def recording(params, acts, loss_fn, out=None):
+        updates.append(loss_fn(acts[-1]))
+        return gradient(params, acts, loss_fn, out=out)
+
+    monkeypatch.setattr(training, "gradient", recording)
+    for kind in training.MODULE_KINDS:
+        for dtype in (np.float32, np.float64):
+            updates.clear()
+            assert_pair_epoch_by_hand(kind, dtype, updates)
+
+
+def assert_pair_epoch_by_hand(kind, dtype, updates):
     rng = np.random.default_rng(3)
-    ds = LabeledDataset(rng.normal(size=(12, 4)), rng.integers(0, 3, 12), 3)
-    state = fresh_pair("coteaching", seed=4, dims=(4, 5, 3))
-    state.net1.opt = adam_init(state.net1.params)
-    state.net2.opt = adam_init(state.net2.params)
-    batches = [np.arange(0, 6), np.arange(6, 12)]
+    ds = LabeledDataset(rng.normal(size=(40, 4)), rng.integers(0, 3, 40), 3)
+    state = init_teacher_state(kind, [4, 6, 3], np.random.default_rng(4))
+    for net in (state.net1, state.net2):
+        net.params = ModelParams.from_flat(net.params.layer_dims, net.params.flat.astype(dtype))
+        net.opt = adam_init(net.params)
+    # shuffled batches, so key order is not row order
+    batches = np.array_split(rng.permutation(40), [17, 30])
+    lam, keep, lr = 0.85, 0.5, 1e-2
     # pair_epoch steps state in place: the reference starts from a copy
     p1, o1 = state.net1.params.copy(), state.net1.opt.copy()
     p2, o2 = state.net2.params.copy(), state.net2.opt.copy()
-    out = pair_epoch(state, ds, 0.5, 1e-3, batches)
+    out = pair_epoch(state, ds, keep, lr, batches, lambda_weight=lam)
 
-    for idx in batches:
+    batch_losses = []
+    for b, idx in enumerate(batches):
         x, y = ds.features[idx], ds.labels[idx]
         a1, a2 = activations(p1, x), activations(p2, x)
-        l1 = ce_batch(a1[-1], y)
-        l2 = ce_batch(a2[-1], y)
-        k = 3  # ceil(0.5 * 6)
-        sel1 = np.array(sorted(sorted(idx, key=lambda g: (l1[list(idx).index(g)], g))[:k]))
-        sel2 = np.array(sorted(sorted(idx, key=lambda g: (l2[list(idx).index(g)], g))[:k]))
-        # each update reads its rows of the ranking forward pass
-        rows1, rows2 = sel1 - idx[0], sel2 - idx[0]
-        g1, _ = gradient(p1, [a[rows2] for a in a1], make_ce_loss_fn(ds.labels[sel2]))
-        adam_step(p1, o1, g1, 1e-3)
-        g2, _ = gradient(p2, [a[rows1] for a in a2], make_ce_loss_fn(ds.labels[sel1]))
-        adam_step(p2, o2, g2, 1e-3)
-    for got, want in zip(out.net1.params.weights + out.net2.params.weights,
-                         p1.weights + p2.weights):
-        npt.assert_array_equal(got, want)
+        q1, q2 = a1[-1], a2[-1]
+        r1, r2 = ce_batch(q1, y), ce_batch(q2, y)
+        if kind == "jocor":
+            kl = symmetric_kl_batch(q1, q2)
+            r1 = (1.0 - lam) * r1 + lam * kl
+            r2 = (1.0 - lam) * r2 + lam * kl
+        active = np.arange(len(idx))
+        disagree = q1.argmax(axis=1) != q2.argmax(axis=1)
+        if kind == "coteachingplus" and disagree.any():
+            active = np.flatnonzero(disagree)
+        sel1 = lexsort_select(r1[active], keep, idx[active])
+        sel2 = lexsort_select(r2[active], keep, idx[active])
+        npt.assert_array_equal(out.epoch_selections[b][0], sel1)
+        npt.assert_array_equal(out.epoch_selections[b][1], sel2)
+        # each update reads its rows of the ranking forward pass, in key order
+        row_of = {g: i for i, g in enumerate(idx)}
+        rows1, rows2 = (np.array([row_of[g] for g in sel]) for sel in (sel1, sel2))
+        upd1, upd2 = (rows1, rows2) if kind == "jocor" else (rows2, rows1)
+        if kind == "jocor":
+            loss1 = make_joint_loss_fn(q2[upd1], y[upd1], lam)
+            loss2 = make_joint_loss_fn(q1[upd2], y[upd2], lam)
+        else:
+            loss1, loss2 = make_ce_loss_fn(y[upd1]), make_ce_loss_fn(y[upd2])
+        for got, want in zip(updates[2 * b:2 * b + 2], (loss1(q1[upd1]), loss2(q2[upd2]))):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        g1, l1 = gradient(p1, [a[upd1] for a in a1], loss1)
+        adam_step(p1, o1, g1, lr)
+        g2, l2 = gradient(p2, [a[upd2] for a in a2], loss2)
+        adam_step(p2, o2, g2, lr)
+        batch_losses.append(0.5 * (l1.mean() + l2.mean()))
+    if kind == "coteachingplus":
+        assert len(sel1) < keep * len(idx)  # the disagreement gate was exercised
+    assert out.mean_selected_loss == float(np.mean(batch_losses))
+    for got, want in ((out.net1, (p1, o1)), (out.net2, (p2, o2))):
+        assert got.params.flat.dtype == dtype
+        for a, b in ((got.params.flat, want[0].flat), (got.opt.m, want[1].m),
+                     (got.opt.v, want[1].v)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_coteaching_kind_check():
