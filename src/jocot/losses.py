@@ -5,10 +5,13 @@ matrices; a single sample is a one-row batch. The make_*_loss_fn closures
 adapt each loss to the callback signature of network.gradient, returning
 per-sample losses together with their derivatives w.r.t. the probabilities.
 The pair step in training reads the same values through _ce, _ce_prob_grad
-and _jocor_terms, computed once over a whole batch.
+and _jocor_terms, computed once over a whole batch for both peers at once:
+they take (..., n, M) probabilities with one (n,) label vector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,9 +40,20 @@ def ce_batch(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return _ce(probs, _check_labels(labels, probs.shape[1]))
 
 
+def _label_cells(shape: tuple, labels: np.ndarray) -> np.ndarray:
+    """Flat C-order positions, in an array of ``shape`` (..., n, M), of each
+    row's label entry: a (..., n) index array for take and put, which copy
+    far faster than indexing by rows and labels."""
+    *lead, n, m = shape
+    cells = np.arange(n) * m + labels
+    return cells + (np.arange(math.prod(lead)) * (n * m)).reshape(*lead, 1)
+
+
 def _ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """ce_batch for labels that _check_labels has passed."""
-    return -np.log(_floor(probs[np.arange(probs.shape[0]), labels]))
+    picked = _floor(np.take(probs, _label_cells(probs.shape, labels)))
+    np.log(picked, out=picked)
+    return np.negative(picked, out=picked)
 
 
 def symmetric_kl_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -69,11 +83,12 @@ def _check_lambda(lambda_weight: float) -> None:
 
 def _ce_prob_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """d(ce)/d(probs); zero wherever the floor clamps."""
-    grad = np.zeros_like(probs)
-    rows = np.arange(probs.shape[0])
-    picked = probs[rows, labels]
-    active = picked > PROB_FLOOR
-    grad[rows[active], labels[active]] = -1.0 / picked[active]
+    cells = _label_cells(probs.shape, labels)
+    picked = np.take(probs, cells)
+    step = np.zeros_like(picked)
+    np.divide(-1.0, picked, out=step, where=picked > PROB_FLOOR)
+    grad = np.zeros(probs.shape, probs.dtype)
+    np.put(grad, cells, step)
     return grad
 
 
@@ -117,29 +132,34 @@ def make_joint_loss_fn(other_probs: np.ndarray, labels: np.ndarray, lambda_weigh
     return loss_fn
 
 
-def _jocor_terms(probs1: np.ndarray, probs2: np.ndarray, labels: np.ndarray,
-                 lambda_weight: float):
+def _jocor_terms(probs: np.ndarray, labels: np.ndarray, lambda_weight: float):
     """What a jocor pair step reads of one batch, each computed once over
-    every row, for labels that _check_labels has passed: each peer's
-    ranking loss (1-lambda)*own CE + lambda*symmetric KL, the joint loss
-    jocor_batch gives (the same for both peers, since + and the symmetric
-    KL commute bit for bit), and the joint loss's derivative w.r.t. each
-    peer's probabilities with the other's held constant, as the
-    make_joint_loss_fn of either peer computes it on the same rows."""
+    every row, for the (2, n, M) probabilities of both peers and labels that
+    _check_labels has passed: each peer's (2, n) ranking loss (1-lambda)*own
+    CE + lambda*symmetric KL, the (n,) joint loss jocor_batch gives (the
+    same for both peers, since + and the symmetric KL commute bit for bit),
+    and the (2, n, M) derivative of the joint loss w.r.t. each peer's
+    probabilities with the other's held constant, as the make_joint_loss_fn
+    of either peer computes it on the same rows."""
     _check_lambda(lambda_weight)
-    ce1, ce2 = _ce(probs1, labels), _ce(probs2, labels)
-    f1, f2 = _floor(probs1), _floor(probs2)
-    log1, log2 = np.log(f1), np.log(f2)
-    d12, d21 = log1 - log2, log2 - log1
-    kl = (f1 * d12 + f2 * d21).sum(axis=1)
-    rank1 = (1.0 - lambda_weight) * ce1 + lambda_weight * kl
-    rank2 = (1.0 - lambda_weight) * ce2 + lambda_weight * kl
-    joint = (1.0 - lambda_weight) * (ce1 + ce2) + lambda_weight * kl
-    dprobs = []
-    for probs, d, own, other in ((probs1, d12, f1, f2), (probs2, d21, f2, f1)):
-        kl_grad = d + 1.0 - other / own
-        kl_grad[probs <= PROB_FLOOR] = 0.0
-        grad = (1.0 - lambda_weight) * _ce_prob_grad(probs, labels)
-        grad += lambda_weight * kl_grad
-        dprobs.append(grad)
-    return rank1, rank2, joint, dprobs[0], dprobs[1]
+    ce = _ce(probs, labels)
+    f = _floor(probs)
+    log = np.log(f)
+    # d[0] = log1 - log2, d[1] = log2 - log1: the other peer is row [::-1]
+    d = log - log[::-1]
+    terms = f * d
+    terms[0] += terms[1]
+    kl = np.add.reduce(terms[0], axis=-1)
+    rank = (1.0 - lambda_weight) * ce + lambda_weight * kl
+    joint = (1.0 - lambda_weight) * (ce[0] + ce[1]) + lambda_weight * kl
+    # in place, each step rounding as d + 1.0 - other / own and
+    # (1-lambda) * ce_grad + lambda * kl_grad would
+    kl_grad = d
+    kl_grad += 1.0
+    kl_grad -= np.divide(f[::-1], f, out=log)
+    kl_grad[probs <= PROB_FLOOR] = 0.0
+    kl_grad *= lambda_weight
+    dprobs = _ce_prob_grad(probs, labels)
+    dprobs *= 1.0 - lambda_weight
+    dprobs += kl_grad
+    return rank, joint, dprobs

@@ -7,6 +7,10 @@ probabilities. There is no autodiff; the chain rule is spelled out once,
 through the softmax Jacobian. A network's parameters fix its floating
 dtype: the forward pass, the gradient and Adam all run in it. Training
 builds float32 networks; float64 is the default everywhere else.
+
+Parameters may carry a leading peer axis: two networks of one layout in
+one (2, P) block, which the forward pass, the gradient and Adam step
+together, each peer's result equal bit for bit to what it gives alone.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ class ModelParams:
     in-place update of ``flat`` updates every layer. The constructor packs
     the given arrays into a fresh vector. The vector's dtype is the
     network's: the arrays' common dtype if it is floating, else float64.
+
+    ``from_flat`` also takes a (peers, P) block of networks of one layout;
+    the views then carry that leading axis: (peers, fan_in, fan_out) and
+    (peers, fan_out).
     """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
@@ -45,7 +53,8 @@ class ModelParams:
 
     @classmethod
     def from_flat(cls, layer_dims: Sequence[int], flat: np.ndarray) -> "ModelParams":
-        """Views of ``flat`` as a layer_dims network; ValueError if its length does not fit."""
+        """Views of ``flat`` as a layer_dims network, or of each row of a 2-d ``flat``
+        as one peer's; ValueError if its last axis does not fit."""
         dims = _check_dims(layer_dims)
         shapes = [s for fan_in, fan_out in zip(dims[:-1], dims[1:])
                   for s in ((fan_in, fan_out), (fan_out,))]
@@ -56,15 +65,17 @@ class ModelParams:
 
     def _bind(self, flat: np.ndarray, shapes) -> None:
         ends = np.cumsum([math.prod(s) for s in shapes])
-        if flat.shape != (ends[-1],):
+        if flat.ndim not in (1, 2) or flat.shape[-1] != ends[-1]:
             raise ValueError(f"a flat vector of shape {flat.shape} does not fit "
                              f"layers of shapes {shapes}")
-        views = [flat[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
+        peers = flat.shape[:-1]
+        views = [flat[..., end - math.prod(s):end].reshape(*peers, *s)
+                 for s, end in zip(shapes, ends)]
         self.flat, self.weights, self.biases = flat, views[0::2], views[1::2]
 
     @property
     def layer_dims(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [self.weights[0].shape[-2]] + [w.shape[-1] for w in self.weights]
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.layer_dims, self.flat.copy())
@@ -187,7 +198,7 @@ def _check_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=params.flat.dtype)
     if features.ndim != 2:
         raise ValueError(f"features must be a 2-d batch, got shape {features.shape}")
-    expected = params.weights[0].shape[0]
+    expected = params.weights[0].shape[-2]
     if features.shape[1] != expected:
         raise ValueError(
             f"configuration error: feature dimension {features.shape[1]} "
@@ -200,20 +211,25 @@ def _check_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     # the row max over a contiguous transpose: a max is exact in any order,
-    # and reducing the leading axis of a (M, n) array runs several times
-    # faster than reducing the short last axis of (n, M)
-    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # and reducing the second-last axis of a (..., M, n) array runs several
+    # times faster than reducing the short last axis of (..., n, M)
+    row_max = np.ascontiguousarray(logits.swapaxes(-1, -2)).max(axis=-2)
+    e = logits - row_max[..., None]
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def activations(params: ModelParams, features: np.ndarray) -> list[np.ndarray]:
     """One forward pass: the input of each layer (the features, then each
-    ReLU output), then the class probabilities."""
+    ReLU output), then the class probabilities. Peers share the (n, d)
+    features; every later array is (peers, n, ·)."""
     acts = [_check_features(params, features)]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-    acts.append(_softmax(acts[-1] @ params.weights[-1] + params.biases[-1]))
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w
+        z += b[..., None, :]
+        acts.append(np.maximum(z, 0.0, out=z) if layer < len(params.weights) - 1
+                    else _softmax(z))
     return acts
 
 
@@ -227,34 +243,47 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossF
     """Gradient of the mean per-sample loss, laid out like params, and the per-sample losses.
 
     ``acts`` is what ``activations`` returned, or the same rows of each of its arrays; no
-    forward pass runs here. The gradient is written into ``out`` and ``out`` is returned;
-    without one a new ModelParams is allocated. A non-finite loss raises
-    FloatingPointError naming its sample.
+    forward pass runs here. Peers may read different rows: a (peers, k, ·) gather of
+    each array, the features included. The gradient is written into ``out`` and ``out``
+    is returned; without one a new ModelParams is allocated. A non-finite loss raises
+    FloatingPointError naming its peer, if any, and its sample.
     """
     if len(acts) != len(params.weights) + 1:
         raise ValueError(f"need {len(params.weights) + 1} activation arrays, got {len(acts)}")
     if out is None:
         out = ModelParams.from_flat(params.layer_dims, np.empty_like(params.flat))
-    elif out.layer_dims != params.layer_dims:
-        raise ValueError(f"out layer_dims {out.layer_dims} do not match "
-                         f"parameter layer_dims {params.layer_dims}")
     else:
+        _check_layout("out", out, params)
         _check_dtype("out", out.flat, params)
     probs = acts[-1]
     losses, dprobs = loss_fn(probs)
     bad = ~np.isfinite(losses)
     if bad.any():
-        raise FloatingPointError(f"non-finite loss at sample index {int(np.argmax(bad))}")
+        *peer, sample = np.unravel_index(np.argmax(bad), bad.shape)
+        where = "".join(f"peer {int(p)}, " for p in peer)
+        raise FloatingPointError(f"non-finite loss at {where}sample index {int(sample)}")
     # dL/dlogit_j = p_j * (dL/dp_j - sum_m p_m dL/dp_m); /n for the batch mean
-    inner = np.sum(dprobs * probs, axis=1, keepdims=True)
-    delta = probs * (dprobs - inner) / probs.shape[0]
+    inner = np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
+    delta = dprobs - inner
+    delta *= probs
+    delta /= probs.shape[-2]
     for layer in range(len(params.weights) - 1, -1, -1):
-        np.matmul(acts[layer].T, delta, out=out.weights[layer])
-        np.sum(delta, axis=0, out=out.biases[layer])
+        np.matmul(acts[layer].swapaxes(-1, -2), delta, out=out.weights[layer])
+        np.add.reduce(delta, axis=-2, out=out.biases[layer])
         if layer > 0:
+            delta = delta @ params.weights[layer].swapaxes(-1, -2)
             # a ReLU output is positive exactly where its input was
-            delta = (delta @ params.weights[layer].T) * (acts[layer] > 0.0)
+            delta *= acts[layer] > 0.0
     return out, losses
+
+
+def _check_layout(name: str, other: ModelParams, params: ModelParams) -> None:
+    # one peer's vector against a stacked pair's, or the reverse, would
+    # broadcast silently through Adam
+    if other.layer_dims != params.layer_dims or other.flat.shape != params.flat.shape:
+        raise ValueError(f"{name} layer_dims {other.layer_dims} and shape {other.flat.shape} "
+                         f"do not match the parameters' {params.layer_dims} and "
+                         f"{params.flat.shape}")
 
 
 def _check_dtype(name: str, array: np.ndarray, params: ModelParams) -> None:
@@ -273,17 +302,16 @@ def adam_step(params: ModelParams, state: OptimizerState, grads: ModelParams,
 
     The gradient, the moments and ``scratch`` share the parameters' dtype, and
     the update runs in it.
-    ``scratch`` is a (2, n) array for the update's temporaries, n being the
-    parameter count; without one it is allocated here.
+    ``scratch`` is a (2, *params.flat.shape) array for the update's temporaries;
+    without one it is allocated here. Stacked peers share ``state.step_count``.
     """
-    if grads.layer_dims != params.layer_dims:
-        raise ValueError(f"gradient layer_dims {grads.layer_dims} do not match "
-                         f"parameter layer_dims {params.layer_dims}")
+    _check_layout("gradient", grads, params)
     dtype = params.flat.dtype
+    shape = (2, *params.flat.shape)
     if scratch is None:
-        scratch = np.empty((2, params.flat.size), dtype=dtype)
-    elif scratch.shape != (2, params.flat.size) or scratch.dtype != dtype:
-        raise ValueError(f"scratch must be a (2, {params.flat.size}) {dtype} array, "
+        scratch = np.empty(shape, dtype=dtype)
+    elif scratch.shape != shape or scratch.dtype != dtype:
+        raise ValueError(f"scratch must be a {shape} {dtype} array, "
                          f"got {scratch.dtype} {scratch.shape}")
     for name, array in (("gradient", grads.flat), ("Adam m", state.m), ("Adam v", state.v)):
         _check_dtype(name, array, params)

@@ -2,9 +2,10 @@
 
 Three mechanisms: the remember-rate schedule that decides how large a
 fraction of each batch is presumed clean, small-loss selection that picks
-that fraction, and the two-level consensus intersection that combines the
-four peer networks' selections into one trusted index set. Per-batch
-selections are numpy index arrays; SelectionSet holds the final clean set.
+that fraction by an O(n) partition, and the consensus intersection that
+combines the four peer networks' selections into one trusted index set.
+Per-batch selections are numpy index arrays; SelectionSet holds the final
+clean set.
 """
 
 from __future__ import annotations
@@ -77,12 +78,18 @@ def small_loss_select(losses, keep_fraction: float, keys) -> np.ndarray:
     # tiny slack so binary round-up (e.g. 0.75*4 -> 3.0000000000000004)
     # cannot inflate the ceiling
     k = max(1, math.ceil(keep_fraction * losses.size - 1e-12))
-    # a stable sort of the losses in key order ranks ties by key, as
-    # lexsort((keys, losses)) would; sorting the first k of those ranks
-    # puts the picks back in key order
-    order = np.argsort(keys)
-    ranked = np.argsort(losses[order], kind="stable")
-    return order[np.sort(ranked[:k])]
+    # every loss up to the k-th smallest is picked, but of the ties at it
+    # only the ones with the smallest keys, as lexsort((keys, losses)) ranks them
+    threshold = np.partition(losses, k - 1)[k - 1]
+    picked = losses <= threshold
+    extra = np.count_nonzero(picked) - k
+    if extra:
+        ties = np.flatnonzero(losses == threshold)
+        cut = ties.size - extra
+        picked[ties[np.argpartition(keys[ties], cut)[cut:]]] = False
+    positions = np.flatnonzero(picked)
+    # a stable sort is linear on keys already in order, as a batch's are
+    return positions[np.argsort(keys[positions], kind="stable")]
 
 
 def consensus(*pairs) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Training paradigms and the two-teachers-one-student orchestration.
 
 pair_epoch trains one co-trained pair for an epoch (forward both peers,
-rank per-sample losses, keep the presumed-clean fraction, Adam-update);
-the pair's module_kind picks the step:
+rank per-sample losses, keep the presumed-clean fraction, Adam-update),
+stepping the two peers as one stacked (2, P) network; the pair's
+module_kind picks the step:
 
 - coteaching: each peer updates on the OTHER peer's selection.
 - jocor: both peers update on their own selection under the joint
@@ -335,9 +336,9 @@ def evaluate(params: ModelParams, dataset: LabeledDataset) -> float:
 
 
 def _step_buffers(params: ModelParams) -> Tuple[ModelParams, np.ndarray]:
-    """One (3, n) block for a network step: a gradient laid out like params,
-    then adam_step's (2, n) scratch, in the parameters' dtype."""
-    work = np.empty((3, params.flat.size), dtype=params.flat.dtype)
+    """One (3, *params.flat.shape) block for a network step: a gradient laid
+    out like params, then adam_step's scratch, in the parameters' dtype."""
+    work = np.empty((3, *params.flat.shape), dtype=params.flat.dtype)
     return ModelParams.from_flat(params.layer_dims, work[0]), work[1:]
 
 
@@ -351,57 +352,81 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
     jocor ranks per network ((1-lambda)*own CE + lambda*contrastive).
     The peers are stepped in place and ``state`` is returned with this
     epoch's selections and mean selected loss.
+
+    Both peers step as one stacked (2, P) network: one forward pass, one
+    loss pass, one backward pass over each peer's update rows and one Adam
+    update per batch. Their parameters and Adam moments are copied into one
+    block for the epoch and back into each peer's arrays at its end, so the
+    peers must share a dtype and an Adam step count; ValueError otherwise.
     """
     kind = state.module_kind
     if kind not in MODULE_KINDS:
         raise ValueError(f"module_kind must be one of {MODULE_KINDS}, got {kind!r}")
     net1, net2 = state.net1, state.net2
-    # both peers share one layout, so they take turns with one block
-    grads, scratch = _step_buffers(net1.params)
-    labels = _check_labels(noisy_train.labels, net1.params.layer_dims[-1])
+    if net1.opt.step_count != net2.opt.step_count:
+        raise ValueError(f"the peers have taken {net1.opt.step_count} and "
+                         f"{net2.opt.step_count} Adam steps; a pair steps together")
+    arrays = (net1.params.flat, net2.params.flat, net1.opt.m, net2.opt.m,
+              net1.opt.v, net2.opt.v)
+    if len({a.dtype for a in arrays}) > 1:
+        raise ValueError("the peers' parameters and Adam moments must share one dtype, got "
+                         + ", ".join(str(a.dtype) for a in arrays))
+    block = np.stack(arrays)
+    params = ModelParams.from_flat(net1.params.layer_dims, block[0:2])
+    opt = OptimizerState(block[2:4], block[4:6], net1.opt.step_count)
+    grads, scratch = _step_buffers(params)
+    labels = _check_labels(noisy_train.labels, params.layer_dims[-1])
     selections = []
     batch_losses = []
-    for idx in batches:
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size == 0:
-            warnings.warn("skipping empty batch", stacklevel=2)
-            continue
-        # one cast serves both peers
-        x = np.asarray(noisy_train.features[idx], dtype=net1.params.flat.dtype)
-        acts1, acts2 = activations(net1.params, x), activations(net2.params, x)
-        probs1, probs2 = acts1[-1], acts2[-1]
-        y = labels[idx]
-        # each update's per-sample losses and derivatives are its rows of
-        # these whole-batch arrays of the ranking pass, equal bit for bit to
-        # what make_ce_loss_fn and make_joint_loss_fn give on those rows
-        if kind == "jocor":
-            rank1, rank2, joint, dprobs1, dprobs2 = _jocor_terms(probs1, probs2, y,
-                                                                 lambda_weight)
-            update_terms = (joint, dprobs1), (joint, dprobs2)
-        else:
-            rank1, rank2 = _ce(probs1, y), _ce(probs2, y)
-            update_terms = (rank1, _ce_prob_grad(probs1, y)), (rank2, _ce_prob_grad(probs2, y))
-        active = np.arange(idx.size)
-        if kind == "coteachingplus":
-            disagree = probs1.argmax(axis=1) != probs2.argmax(axis=1)
-            if disagree.any():
-                active = np.flatnonzero(disagree)
-        # positions in ascending global-index order: the rows of the ranking
-        # forward pass that each update reads, in the order its losses see
-        keys = idx[active]
-        pos1 = active[small_loss_select(rank1[active], keep_fraction, keys)]
-        pos2 = active[small_loss_select(rank2[active], keep_fraction, keys)]
-        # jocor: each peer learns from its own selection; otherwise from the other's
-        upd1, upd2 = (pos1, pos2) if kind == "jocor" else (pos2, pos1)
-        upd_losses = []
-        for net, acts, upd, (losses, dprobs) in zip((net1, net2), (acts1, acts2), (upd1, upd2),
-                                                    update_terms):
-            rows = losses[upd], dprobs[upd]
-            gradient(net.params, [a[upd] for a in acts], lambda _: rows, out=grads)
-            adam_step(net.params, net.opt, grads, lr, scratch)
-            upd_losses.append(rows[0].mean())
-        batch_losses.append(0.5 * (upd_losses[0] + upd_losses[1]))
-        selections.append((idx[pos1], idx[pos2]))
+    try:
+        for idx in batches:
+            # sorted, so row order is key order: small-loss selection returns
+            # ascending positions, and each update reads its rows in the order
+            # its losses see
+            idx = np.sort(np.asarray(idx, dtype=np.intp))
+            if idx.size == 0:
+                warnings.warn("skipping empty batch", stacklevel=2)
+                continue
+            acts = activations(params, noisy_train.features.take(idx, axis=0))
+            probs = acts[-1]
+            y = labels[idx]
+            # each update's per-sample losses and derivatives are its rows of
+            # these whole-batch arrays of the ranking pass, equal bit for bit
+            # to what make_ce_loss_fn and make_joint_loss_fn give on those rows
+            if kind == "jocor":
+                rank, joint, dprobs = _jocor_terms(probs, y, lambda_weight)
+            else:
+                rank, dprobs = _ce(probs, y), _ce_prob_grad(probs, y)
+            active = np.arange(idx.size)
+            if kind == "coteachingplus":
+                predicted = probs.argmax(axis=-1)
+                disagree = predicted[0] != predicted[1]
+                if disagree.any():
+                    active = np.flatnonzero(disagree)
+            keys = idx[active]
+            picks = np.stack([active[small_loss_select(r[active], keep_fraction, keys)]
+                              for r in rank])
+            # jocor: each peer learns from its own selection; otherwise from the other's
+            upd = picks if kind == "jocor" else picks[::-1]
+            # peer p's update rows of a (2, n, ·) array seen as (2n, ·)
+            flat = upd + np.array([[0], [idx.size]])
+
+            def gather(a):
+                return a.reshape(-1, a.shape[-1]).take(flat, axis=0)
+
+            rows = (joint.take(upd) if kind == "jocor" else rank.take(flat)), gather(dprobs)
+            gathered = [acts[0].take(upd, axis=0)] + [gather(a) for a in acts[1:]]
+            gradient(params, gathered, lambda _: rows, out=grads)
+            adam_step(params, opt, grads, lr, scratch)
+            upd_losses = rows[0].mean(axis=-1)
+            batch_losses.append(0.5 * (upd_losses[0] + upd_losses[1]))
+            selections.append((idx[picks[0]], idx[picks[1]]))
+    finally:
+        for p, net in enumerate((net1, net2)):
+            net.params.flat[...] = params.flat[p]
+            net.opt.m[...] = opt.m[p]
+            net.opt.v[...] = opt.v[p]
+            net.opt.step_count = opt.step_count
     state.epoch_selections = selections
     state.mean_selected_loss = float(np.mean(batch_losses)) if batch_losses else None
     return state

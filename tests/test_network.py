@@ -9,6 +9,7 @@ import pytest
 
 from jocot.network import (
     ModelParams,
+    OptimizerState,
     TrainConfig,
     _softmax,
     activations,
@@ -427,3 +428,93 @@ def test_float64_step_is_bitwise_the_spelled_out_expressions():
     for got, expected in ((state.m, m), (state.v, v), (params.flat, want)):
         assert got.dtype == np.float64
         npt.assert_array_equal(got, expected)
+
+
+def rowwise_entropy_loss(probs):
+    """entropy_loss over the last axis, for (n, M) and (peers, k, M) alike."""
+    losses = -np.sum(probs * np.log(probs), axis=-1)
+    return losses, -(np.log(probs) + 1.0)
+
+
+def stacked_pair(dims, seed, dtype):
+    """Two peers of one layout, alone and as one (2, P) network."""
+    rng = np.random.default_rng(seed)
+    peers = [init_params(dims, rng, dtype) for _ in range(2)]
+    both = ModelParams.from_flat(dims, np.stack([p.flat for p in peers]))
+    return peers, both, rng
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_peers_step_bitwise_as_each_peer_alone(dtype):
+    # one forward pass, one backward pass over each peer's own rows and one
+    # Adam update for both peers, against each peer's own calls
+    dims = [5, 7, 6, 4]
+    peers, both, rng = stacked_pair(dims, 25, dtype)
+    x = rng.normal(size=(11, 5))
+    acts = activations(both, x)
+    alone = [activations(p, x) for p in peers]
+    assert [a.shape for a in acts] == [(11, 5), (2, 11, 7), (2, 11, 6), (2, 11, 4)]
+    for p in range(2):
+        for got, want in zip(acts[1:], alone[p][1:]):
+            assert got.dtype == dtype and got[p].tobytes() == want.tobytes()
+
+    rows = np.array([[0, 3, 4, 9], [1, 2, 7, 10]])  # each peer's rows, ascending
+    peer = np.arange(2)[:, None]
+    gathered = [acts[0][rows]] + [a[peer, rows] for a in acts[1:]]
+    out = ModelParams.from_flat(dims, np.full_like(both.flat, np.nan))
+    grads, losses = gradient(both, gathered, rowwise_entropy_loss, out=out)
+    assert grads is out and losses.shape == (2, 4)
+    state = OptimizerState(np.zeros_like(both.flat), np.zeros_like(both.flat), 3)
+    scratch = np.empty((2, *both.flat.shape), dtype)
+    adam_step(both, state, grads, 0.01, scratch)
+    for p, net in enumerate(peers):
+        g, l = gradient(net, [a[rows[p]] for a in alone[p]], rowwise_entropy_loss)
+        assert grads.flat[p].tobytes() == g.flat.tobytes()
+        assert losses[p].tobytes() == l.tobytes()
+        opt = OptimizerState(np.zeros_like(net.flat), np.zeros_like(net.flat), 3)
+        adam_step(net, opt, g, 0.01)
+        for a, b in ((both.flat, net.flat), (state.m, opt.m), (state.v, opt.v)):
+            assert a[p].tobytes() == b.tobytes()
+    assert state.step_count == 4
+
+
+@pytest.mark.parametrize("clone", [lambda p: ModelParams.from_flat(p.layer_dims, p.flat),
+                                   lambda p: p.copy(), copy.deepcopy,
+                                   lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["from_flat", "copy", "deepcopy", "pickle"])
+def test_stacked_params_keep_every_layer_in_one_block(clone):
+    _, both, _ = stacked_pair([3, 4, 2], 26, np.float32)
+    q = clone(both)
+    assert q.layer_dims == [3, 4, 2] and q.flat.shape == (2, 26)
+    assert [w.shape for w in q.weights] == [(2, 3, 4), (2, 4, 2)]
+    assert [b.shape for b in q.biases] == [(2, 4), (2, 2)]
+    assert all(np.shares_memory(q.flat, a) for a in q.weights + q.biases)
+    npt.assert_array_equal(q.flat, both.flat)
+    q.flat[1, 16] = 5.0  # peer 1's w1[0, 0]
+    assert q.weights[1][1, 0, 0] == 5.0 and q.weights[1][0, 0, 0] != 5.0
+    with pytest.raises(ValueError, match="does not fit"):
+        ModelParams.from_flat([3, 4, 2], np.zeros((2, 2, 26)))
+
+
+def test_stacked_gradient_nonfinite_loss_names_peer_and_sample():
+    _, both, rng = stacked_pair([3, 2], 27, np.float64)
+    acts = activations(both, rng.normal(size=(4, 3)))
+
+    def bad_loss(probs):
+        losses = np.zeros(probs.shape[:-1])
+        losses[1, 2] = np.nan
+        return losses, np.zeros_like(probs)
+
+    with pytest.raises(FloatingPointError, match="peer 1, sample index 2"):
+        gradient(both, acts, bad_loss)
+
+
+def test_stacked_step_rejects_buffers_of_one_peer():
+    peers, both, rng = stacked_pair([3, 2], 28, np.float64)
+    acts = activations(both, rng.normal(size=(4, 3)))
+    with pytest.raises(ValueError, match="do not match"):
+        gradient(both, acts, quadratic_loss, out=peers[0].copy())
+    with pytest.raises(ValueError, match="do not match"):
+        adam_step(both, adam_init(both), peers[0], 0.01)
+    with pytest.raises(ValueError, match=r"scratch must be a \(2, 2, 8\) float64 array"):
+        adam_step(both, adam_init(both), both.copy(), 0.01, np.empty((2, 16)))

@@ -242,3 +242,32 @@ def test_small_loss_select_equals_lexsort(data, dtype, values, keep):
     picked = np.lexsort((keys, losses))[:k]
     want = picked[np.argsort(keys[picked])]
     assert small_loss_select(losses, keep, keys).tolist() == want.tolist()
+
+
+@given(st.data(), st.lists(st.sampled_from([0.0, -0.0, 1e-7, 0.25, 0.5, 3.0]),
+                           min_size=1, max_size=60), _fractions, st.booleans())
+def test_small_loss_select_takes_a_list_of_float32_scalars(data, values, keep, ascending):
+    # a traced run hands the ranking losses over as list(losses): numpy
+    # float32 scalars in a Python list; a pair step's keys are ascending
+    losses = np.array(values, dtype=np.float32)
+    keys = np.array(data.draw(_distinct_keys(len(values))), dtype=np.intp)
+    if ascending:
+        keys = np.sort(keys)
+    k = max(1, math.ceil(keep * len(values) - 1e-12))
+    picked = np.lexsort((keys, losses))[:k]
+    want = picked[np.argsort(keys[picked])]
+    assert small_loss_select(list(losses), keep, keys).tolist() == want.tolist()
+
+
+def test_small_loss_select_a_batch_as_a_pair_step_ranks_it():
+    # a 512-row batch of float32 losses with many ties at the cut, as the
+    # traced list and as the array, against the lexsort oracle
+    rng = np.random.default_rng(3)
+    losses = np.round(rng.exponential(size=512), 1).astype(np.float32)
+    keys = np.sort(rng.choice(100_000, size=512, replace=False))
+    for keep in (0.55, 0.8, 1.0, 1 / 512):
+        k = max(1, math.ceil(keep * 512 - 1e-12))
+        picked = np.lexsort((keys, losses))[:k]
+        want = picked[np.argsort(keys[picked])].tolist()
+        assert small_loss_select(losses, keep, keys).tolist() == want
+        assert small_loss_select(list(losses), keep, keys).tolist() == want

@@ -134,36 +134,44 @@ def test_coteaching_cross_update_wiring_exact(monkeypatch):
     # selections, mean selected loss and per-update losses and derivatives;
     # catches any own-selection/peer-selection mixup, and any drift of the
     # step's whole-batch loss arrays from ce_batch, symmetric_kl_batch and
-    # the make_*_loss_fn callbacks
+    # the make_*_loss_fn callbacks. Also at a one-row last batch (k = 1), at
+    # keep_fraction 1, and with peers that agree on every sample
     updates = []
 
     def recording(params, acts, loss_fn, out=None):
-        updates.append(loss_fn(acts[-1]))
+        # the pair steps both peers in one call on stacked (2, k, ·) rows:
+        # record each peer's losses and derivatives
+        losses, dprobs = loss_fn(acts[-1])
+        updates.extend(zip(losses, dprobs))
         return gradient(params, acts, loss_fn, out=out)
 
     monkeypatch.setattr(training, "gradient", recording)
+    cases = [{}, {"cuts": [17, 39]}, {"keep": 1.0}]
     for kind in training.MODULE_KINDS:
         for dtype in (np.float32, np.float64):
-            updates.clear()
-            assert_pair_epoch_by_hand(kind, dtype, updates)
+            for case in cases + ([{"agree": True}] if kind == "coteachingplus" else []):
+                updates.clear()
+                assert_pair_epoch_by_hand(kind, dtype, updates, **case)
 
 
-def assert_pair_epoch_by_hand(kind, dtype, updates):
+def assert_pair_epoch_by_hand(kind, dtype, updates, cuts=(17, 30), keep=0.5, agree=False):
     rng = np.random.default_rng(3)
     ds = LabeledDataset(rng.normal(size=(40, 4)), rng.integers(0, 3, 40), 3)
     state = init_teacher_state(kind, [4, 6, 3], np.random.default_rng(4))
+    if agree:
+        state.net2.params = state.net1.params.copy()
     for net in (state.net1, state.net2):
         net.params = ModelParams.from_flat(net.params.layer_dims, net.params.flat.astype(dtype))
         net.opt = adam_init(net.params)
     # shuffled batches, so key order is not row order
-    batches = np.array_split(rng.permutation(40), [17, 30])
-    lam, keep, lr = 0.85, 0.5, 1e-2
+    batches = np.array_split(rng.permutation(40), cuts)
+    lam, lr = 0.85, 1e-2
     # pair_epoch steps state in place: the reference starts from a copy
     p1, o1 = state.net1.params.copy(), state.net1.opt.copy()
     p2, o2 = state.net2.params.copy(), state.net2.opt.copy()
     out = pair_epoch(state, ds, keep, lr, batches, lambda_weight=lam)
 
-    batch_losses = []
+    batch_losses, whole_batch_ranked = [], []
     for b, idx in enumerate(batches):
         x, y = ds.features[idx], ds.labels[idx]
         a1, a2 = activations(p1, x), activations(p2, x)
@@ -177,6 +185,7 @@ def assert_pair_epoch_by_hand(kind, dtype, updates):
         disagree = q1.argmax(axis=1) != q2.argmax(axis=1)
         if kind == "coteachingplus" and disagree.any():
             active = np.flatnonzero(disagree)
+        whole_batch_ranked.append(active.size == len(idx))
         sel1 = lexsort_select(r1[active], keep, idx[active])
         sel2 = lexsort_select(r2[active], keep, idx[active])
         npt.assert_array_equal(out.epoch_selections[b][0], sel1)
@@ -197,14 +206,29 @@ def assert_pair_epoch_by_hand(kind, dtype, updates):
         g2, l2 = gradient(p2, [a[upd2] for a in a2], loss2)
         adam_step(p2, o2, g2, lr)
         batch_losses.append(0.5 * (l1.mean() + l2.mean()))
-    if kind == "coteachingplus":
+    if kind == "coteachingplus" and not agree and len(idx) > 1:
         assert len(sel1) < keep * len(idx)  # the disagreement gate was exercised
+    if agree:  # the peers never disagree: every batch was ranked whole
+        assert all(whole_batch_ranked)
+    if len(idx) == 1:
+        assert len(sel1) == 1  # the one-row last batch
     assert out.mean_selected_loss == float(np.mean(batch_losses))
     for got, want in ((out.net1, (p1, o1)), (out.net2, (p2, o2))):
         assert got.params.flat.dtype == dtype
         for a, b in ((got.params.flat, want[0].flat), (got.opt.m, want[1].m),
                      (got.opt.v, want[1].v)):
             assert a.tobytes() == b.tobytes()
+
+
+def test_pair_epoch_rejects_peers_at_different_adam_steps():
+    # the stacked step gives both peers one step count
+    state = make_state("coteaching")
+    state.net2.opt.step_count = 1
+    before = state.net1.params.flat.copy()
+    with pytest.raises(ValueError, match="0 and 1 Adam steps"):
+        pair_epoch(state, planted_dataset(), 1.0, 1e-4, [np.arange(8)])
+    npt.assert_array_equal(state.net1.params.flat, before)
+    assert state.epoch_selections == []
 
 
 def test_coteaching_kind_check():
@@ -721,11 +745,12 @@ def test_train_module_rejects_unknown_kind():
 
 
 def test_one_forward_pass_per_network_per_batch(monkeypatch):
-    # ranking, the logged batch loss and backprop all read one forward pass
+    # ranking, the logged batch loss and backprop all read one forward pass;
+    # a pair's two peers take theirs in one call on the stacked (2, P) network
     calls = []
 
     def counting(params, features):
-        calls.append(len(features))
+        calls.append((params.flat.shape[:-1], len(features)))
         return activations(params, features)
 
     monkeypatch.setattr(training, "activations", counting)
@@ -736,10 +761,10 @@ def test_one_forward_pass_per_network_per_batch(monkeypatch):
         state = init_teacher_state(kind, [4, 8, 3], np.random.default_rng(5))
         with pytest.warns(UserWarning, match="empty batch"):
             pair_epoch(state, ds, 0.7, 1e-3, batches)
-        assert calls == [25, 25, 35, 35]
+        assert calls == [((2,), 25), ((2,), 35)]
     calls.clear()
     train_student(ds, ds, small_cfg(total_epochs=2, decay_start_epoch=1))
-    assert calls == [16, 16, 16, 12] * 2
+    assert calls == [((), 16), ((), 16), ((), 16), ((), 12)] * 2
 
 
 def test_train_student_best_checkpoint_rule():
