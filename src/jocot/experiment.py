@@ -36,7 +36,7 @@ from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     EpochMetrics,
     _fork_workers,
-    _openblas_threads,
+    _forked,
     evaluate,
     train_module,
     train_student,
@@ -325,72 +325,32 @@ def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult
     return cell
 
 
-# the grid's splits in a worker process, set once by _start_worker
-_worker_splits = None
-
-
-def _start_worker(splits):
-    """Pool initializer. Keeps the splits for every cell the worker trains,
-    so they are not pickled per cell (under fork they are not pickled at
-    all), and pins OpenBLAS to one thread, so the workers do not each ask
-    for every core."""
-    global _worker_splits
-    _worker_splits = splits
-    blas = _openblas_threads()
-    if blas is not None:
-        blas[1](1)
-
-
-def _train_in_worker(cell: CellResult, train_cfg: TrainConfig, mask) -> CellResult:
-    return _train(cell, train_cfg, mask, _worker_splits)
-
-
-def _submit(pool, job):
-    """Send one (cell, train_cfg, mask) job to the pool; a pool that a dead
-    worker has broken gives a future holding that error."""
-    from concurrent.futures import Future
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return pool.submit(_train_in_worker, *job)
-    except BrokenProcessPool as exc:
-        future = Future()
-        future.set_exception(exc)
-        return future
-
-
 def _trained(jobs, splits, workers: int):
     """Yield each (cell, train_cfg, mask) job's trained cell, in job order:
-    in this process when ``workers`` is below 2, else from that many forked
-    worker processes. A worker that dies becomes the error of every cell the
-    pool left unfinished."""
+    in this process when ``workers`` is below 2, else each in its own forked
+    child, at most ``workers`` alive at once. The next cell starts only
+    when the consumer asks for one, so a generator stopped early (progress
+    raised, or Ctrl-C) starts no further cell; it terminates the cells in
+    training. A child that dies fails its own cell only."""
     if workers < 2:
         for job in jobs:
             yield _train(*job, splits)
         return
-    # imported here: the pool's modules add about 2 MB of resident memory,
-    # which no caller that trains in-process should pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(splits,)) as pool:
-        # No more cells are sent than there are workers, and the next one
-        # only once the consumer asks for it. So when the generator stops
-        # early (progress raised, or Ctrl-C), leaving the pool waits only for
-        # the cells already training, and no queued cell starts.
-        todo = iter(jobs)
-        window = deque(_submit(pool, job) for job in islice(todo, workers))
+    window = deque()
+    todo = iter(jobs)
+    try:
         for cell, *_ in jobs:
+            for job in islice(todo, workers - len(window)):
+                window.append(_forked("jocot-cell", _train, *job, splits))
             try:
-                trained = window.popleft().result()
-            except BrokenProcessPool as exc:
+                cell = window[0].result()
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 cell.error = _error(exc)
-                trained = cell
-            yield trained
-            for job in islice(todo, 1):
-                window.append(_submit(pool, job))
+            window.popleft().stop()
+            yield cell
+    finally:
+        for child in window:
+            child.stop()
 
 
 def run_experiment(config: ExperimentConfig,
@@ -398,10 +358,11 @@ def run_experiment(config: ExperimentConfig,
     """Run every (rate, seed) cell of the configured method.
 
     The splits and every cell's label noise are made in this process, in
-    grid order. The cells then train in worker processes when more than
-    one fits the usable CPUs (see training._fork_workers), else one after
-    the other here; the results are the same either way. Cell failures are
-    recorded in the per-cell error field; remaining cells still run.
+    grid order. The cells then train each in a forked child process when
+    more than one fits the usable CPUs (see training._fork_workers), else
+    one after the other here; the results are the same either way. Cell
+    failures, a child process that dies included, are recorded in the
+    per-cell error field; remaining cells still run.
     ``progress`` is an optional callable fed one line per completed cell,
     in grid order.
     """
@@ -415,8 +376,7 @@ def run_experiment(config: ExperimentConfig,
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 cell.error = _error(exc)
             cells.append(cell)
-    # closing shuts the worker pool down also when progress raises, once
-    # the cells already training are done
+    # closing terminates the cells in training also when progress raises
     with closing(_trained(jobs, splits, _fork_workers(len(jobs)))) as trained:
         for i, cell in enumerate(cells):
             if cell.error is None:  # its noise is injected, so it has a job

@@ -15,11 +15,12 @@ train_teachers runs the joint-loss pair and the cross-update pair over a
 shared batch schedule and intersects their per-batch selections into the
 consensus clean set that feeds the student; train_module runs one pair
 through the same epoch loop. The two teacher pairs read nothing of each
-other, so the second runs its whole epoch loop in a forked child process
-while the calling thread steps the first, with OpenBLAS pinned to one
-thread in both. A worker thread gains little, since the GIL serialises
-most of a pair's many small numpy calls. Where _fork_workers allows no
-second process, both pairs step on the calling thread.
+other, so each runs its whole epoch loop in its own forked child process
+(_forked, the one process primitive, which experiment's grids use too)
+while the caller waits. Each child pins its own OpenBLAS to one thread;
+the caller's count is never changed. A worker thread would gain little,
+since the GIL serialises most of a pair's many small numpy calls. Where
+_fork_workers allows no second process, both pairs step in the caller.
 train_student fits plain cross-entropy on a trusted subset, checkpointed
 by validation accuracy. Every network trains in float32, as the compared
 methods' PyTorch models did; evaluate scores it in float64.
@@ -32,10 +33,8 @@ import functools
 import multiprocessing
 import os
 import signal
-import threading
 import traceback
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -100,34 +99,6 @@ def _openblas_threads():
     return None
 
 
-class _BlasPin:
-    """Process-wide reference count of the one-thread OpenBLAS pin. The
-    thread count belongs to the process, so callers training on several
-    threads at once share one pin: the first saves the count it found and
-    sets 1, the last restores the saved count."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._saved = None
-
-    def acquire(self, get, set_):
-        with self._lock:
-            if self._holders == 0:
-                self._saved = get()
-                set_(1)
-            self._holders += 1
-
-    def release(self, set_):
-        with self._lock:
-            self._holders -= 1
-            if self._holders == 0:
-                set_(self._saved)
-
-
-_BLAS_PIN = _BlasPin()
-
-
 def _default_start_method() -> str:
     """The start method a multiprocessing context would use, read without
     fixing it, so a later set_start_method call by the caller still works."""
@@ -154,66 +125,58 @@ def _fork_workers(jobs: int) -> int:
     return workers
 
 
-@contextmanager
-def _blas_pinned():
-    """Pins OpenBLAS to one thread for the block through the shared
-    _BLAS_PIN, which restores the caller's count once the last overlapping
-    block has ended: two pairs each asking OpenBLAS for every core run
-    slower than one after the other. Touches no BLAS setting when no
-    bundled OpenBLAS count can be pinned."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    _BLAS_PIN.acquire(get, set_)
-    try:
-        yield
-    finally:
-        _BLAS_PIN.release(set_)
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def _child_main(send, fn, args) -> None:
-    """The body of a _forked child: runs fn(*args) and sends back (result,
-    None), or (None, (exception, traceback text)). It ignores SIGINT, so a
-    Ctrl-C reaches the parent alone, which then terminates it, and pins its
-    own OpenBLAS to one thread. It takes no _BLAS_PIN lock: another thread
-    of the parent may have held that lock when the child was forked."""
+    """The body of a _forked child: pins its own OpenBLAS to one thread, runs
+    fn(*args) and sends back (result, None), or (None, (exception, traceback
+    text)). It ignores SIGINT, so a Ctrl-C reaches the parent alone, which
+    then stops it. SIGTERM unwinds it without an answer, so that the finally
+    blocks of fn stop the children fn forked in turn."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     blas = _openblas_threads()
     if blas is not None:
         blas[1](1)
     try:
         outcome = (fn(*args), None)
+    except SystemExit:
+        raise
     except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
         outcome = (None, (exc, traceback.format_exc()))
     send.send(outcome)
 
 
-@contextmanager
-def _forked(fn, *args):
-    """Runs fn(*args) in a forked child process and yields a callable that
-    waits for its result. The child's exception is raised in the caller
-    with its type and message. A child that exits without a result raises
-    RuntimeError naming its exit code. If the block raises, KeyboardInterrupt
-    included, the child is terminated; it is joined either way."""
-    context = multiprocessing.get_context("fork")
-    recv, send = context.Pipe(duplex=False)
-    child = context.Process(target=_child_main, args=(send, fn, args),
-                            name="jocot-pair", daemon=True)
-    child.start()
-    send.close()
+class _forked:
+    """fn(*args) in one forked child process named ``name``, started on
+    construction. result() waits for its answer: the child's exception is
+    raised in the caller with its type and message, and a child that exits
+    without an answer raises RuntimeError naming its exit code. stop()
+    terminates the child if it is still running, then joins it; the caller
+    calls it whether it returns or raises."""
 
-    def result():
-        wait([recv, child.sentinel])
+    def __init__(self, name: str, fn, *args):
+        context = multiprocessing.get_context("fork")
+        self._recv, send = context.Pipe(duplex=False)
+        # not a daemon: multiprocessing lets a daemon fork no child, and a
+        # grid's cell forks its teacher pairs
+        self._child = context.Process(target=_child_main, args=(send, fn, args), name=name)
+        self._child.start()
+        send.close()
+
+    def result(self):
+        child = self._child
+        wait([self._recv, child.sentinel])
         outcome = None
         try:
             # a child gone without a message leaves the pipe at its end,
             # which poll reports as readable and recv as EOFError; poll, not
-            # a blocking recv, since a process that another thread forked
-            # meanwhile may hold a copy of the write end and keep it open
-            if recv.poll():
-                outcome = recv.recv()
+            # a blocking recv, since a process the child forked in turn may
+            # hold a copy of the write end and keep it open
+            if self._recv.poll():
+                outcome = self._recv.recv()
         except EOFError:
             pass
         if outcome is None:
@@ -226,14 +189,11 @@ def _forked(fn, *args):
             raise exc from RuntimeError(f"in the forked process:\n{trace}")
         return value
 
-    try:
-        yield result
-    except BaseException:
-        child.terminate()
-        raise
-    finally:
-        recv.close()
-        child.join()
+    def stop(self) -> None:
+        if self._child.is_alive():
+            self._child.terminate()
+        self._child.join()
+        self._recv.close()
 
 
 @dataclass
@@ -470,11 +430,9 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     per (module_kind, rng role) in init_roles, each over the same batch
     schedule, then consensus, evaluation (test accuracy is the peer mean)
     and metrics. The pairs share nothing but the schedule, so with two
-    pairs and _fork_workers allowing two processes the calling thread steps
-    the first pair while one forked child steps the second, with OpenBLAS
-    pinned to one thread in both; a thread would gain little, since the
-    GIL serialises most of a pair's many small numpy calls. Otherwise the
-    calling thread steps every pair and BLAS is left as the caller set it.
+    pairs and _fork_workers allowing two processes each pair steps in its
+    own forked child, on one OpenBLAS thread, while the caller waits;
+    otherwise the caller steps every pair, with BLAS as it set it.
     The batches partition the samples, so an epoch's clean mask, the union
     over batches of the per-batch consensus, is the AND of the pairs'
     inner-consensus masks. Returns the final states, the metrics and every
@@ -484,8 +442,14 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     run = functools.partial(_pair_epochs, config, noisy_train,
                             shuffle_role=shuffle_role, test_set=test_set)
     if len(init_roles) == 2 and _fork_workers(2) == 2:
-        with _blas_pinned(), _forked(run, *init_roles[1]) as second:
-            pairs = [run(*init_roles[0]), second()]
+        children = []
+        try:
+            for roles in init_roles:
+                children.append(_forked("jocot-pair", run, *roles))
+            pairs = [child.result() for child in children]
+        finally:
+            for child in children:
+                child.stop()
     else:
         pairs = [run(*roles) for roles in init_roles]
     metrics: List[EpochMetrics] = []

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ TINY_TRAIN = {"total_epochs": 4, "decay_start_epoch": 3, "batch_size": 16,
 
 needs_fork = pytest.mark.skipif(
     training._default_start_method() != "fork",
-    reason="cells train in worker processes only where fork is the default")
+    reason="cells train in forked processes only where fork is the default")
 
 
 def force_workers(monkeypatch, workers):
@@ -242,7 +243,7 @@ def test_run_experiment_continues_after_cell_failure(monkeypatch):
         return original(clean_train, clean_val, cfg, **kw)
 
     monkeypatch.setattr(experiment, "train_student", flaky)
-    # in-process: a worker process could not append to calls
+    # in-process: a cell process could not append to calls
     force_workers(monkeypatch, 1)
     result = run_experiment(tiny_config(method="ce_baseline", seeds=(1, 2)))
     assert [c.succeeded for c in result.cells] == [False, True]
@@ -270,12 +271,19 @@ def test_worker_processes_isolate_cell_failures(monkeypatch):
     assert len(result.cells[1].student_metrics) == 4
 
 
-@needs_fork
-def test_a_teacher_process_that_dies_fails_its_cell_only(monkeypatch):
-    # the cells train here, and each jocot cell forks its second teacher pair
-    force_workers(monkeypatch, 1)
+def fork_teachers(monkeypatch):
+    """Two usable CPUs and an OpenBLAS count to pin, whatever the machine
+    has, so each jocot cell forks its teacher pairs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(training, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_teacher_process_that_dies_fails_its_cell_only(monkeypatch, workers):
+    # each jocot cell forks its teacher pairs, also from a cell's own child
+    force_workers(monkeypatch, workers)
+    fork_teachers(monkeypatch)
     cfg = tiny_config(seeds=(1, 2, 3))
     clean = run_experiment(cfg)
     original = training._pair_epochs
@@ -308,6 +316,13 @@ def test_outputs_ignore_the_worker_count(tmp_path, monkeypatch, method):
     assert outputs[0] == outputs[1]
 
 
+def wait_for(path, what):
+    deadline = time.monotonic() + 60
+    while not path.exists():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.01)
+
+
 @needs_fork
 @pytest.mark.parametrize("stop", ["progress", "interrupt"])
 def test_a_grid_stopped_early_starts_no_further_cell(tmp_path, monkeypatch, stop):
@@ -315,8 +330,13 @@ def test_a_grid_stopped_early_starts_no_further_cell(tmp_path, monkeypatch, stop
 
     def marked(cell, train_cfg, mask, splits):
         (tmp_path / str(cell.seed)).touch()
-        if stop == "interrupt" and cell.seed == 1:
-            raise KeyboardInterrupt  # as Ctrl-C raises it in a worker
+        if cell.seed == 2:
+            time.sleep(120)  # unless terminated, the cell outlives the bound below
+        else:
+            # stop once the second cell is training beside the first
+            wait_for(tmp_path / "2", "the second cell never started")
+            if stop == "interrupt":
+                raise KeyboardInterrupt  # result() raises it in the caller, as Ctrl-C would
         return original(cell, train_cfg, mask, splits)
 
     def progress(line):
@@ -325,10 +345,40 @@ def test_a_grid_stopped_early_starts_no_further_cell(tmp_path, monkeypatch, stop
     monkeypatch.setattr(experiment, "_train", marked)
     force_workers(monkeypatch, 2)
     cfg = tiny_config(method="ce_baseline", seeds=(1, 2, 3, 4))
+    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt if stop == "interrupt" else RuntimeError):
         run_experiment(cfg, progress=progress)
-    # the second cell trained beside the first; the last two never started
+    # the second cell was terminated, and the last two never started
+    assert time.monotonic() - start < 60
     assert sorted(p.name for p in tmp_path.iterdir()) == ["1", "2"]
+
+
+@needs_fork
+def test_a_stopped_grid_stops_the_teacher_processes_of_its_cells(tmp_path, monkeypatch):
+    # a terminated cell process unwinds, so it stops the teacher pairs it forked
+    force_workers(monkeypatch, 2)
+    fork_teachers(monkeypatch)
+    original = training._pair_epochs
+
+    def stalled(config, noisy_train, module_kind, *args, **kwargs):
+        if config.seed == 2:
+            (tmp_path / f"pid-{module_kind}").write_text(str(os.getpid()))
+            time.sleep(120)
+        for kind in ("jocor", "coteaching"):
+            wait_for(tmp_path / f"pid-{kind}", "the second cell's teachers never started")
+        return original(config, noisy_train, module_kind, *args, **kwargs)
+
+    def progress(line):
+        raise RuntimeError("progress failed")
+
+    monkeypatch.setattr(training, "_pair_epochs", stalled)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="progress failed"):
+        run_experiment(tiny_config(seeds=(1, 2)), progress=progress)
+    assert time.monotonic() - start < 60
+    for kind in ("jocor", "coteaching"):
+        with pytest.raises(ProcessLookupError):
+            os.kill(int((tmp_path / f"pid-{kind}").read_text()), 0)  # terminated and reaped
 
 
 @pytest.mark.parametrize("cells,cpus,blas,start,workers", [

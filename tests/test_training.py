@@ -485,20 +485,27 @@ def noisy_teacher_task(seed=30):
     return noisy, synthesize(3, 10, dim=4, separation=2.0, seed=seed + 2), mask
 
 
+def assert_two_children_stepped(calls, callers=1):
+    """Each of ``callers`` train_teachers calls stepped its two pairs in two
+    child processes of its own, none of them this one."""
+    pids = pids_by_kind(calls)
+    assert len(pids["jocor"]) == len(pids["coteaching"]) == callers
+    assert len(pids["jocor"] | pids["coteaching"]) == 2 * callers
+    assert os.getpid() not in pids["jocor"] | pids["coteaching"]
+
+
 @needs_fork
 def test_train_teachers_concurrent_equals_inline(monkeypatch, fake_blas, two_cpus, tmp_path):
     noisy, test, mask = noisy_teacher_task()
     cfg = small_cfg(noise_rate_tau=0.4, hidden_dims=(16, 8), seed=2)
     calls = record_pair_calls(monkeypatch, tmp_path / "calls")
     concurrent = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
-    # this process steps the joint-loss pair, one forked child the other,
-    # which ignores SIGINT so a Ctrl-C reaches the parent alone
-    pids = pids_by_kind(calls())
-    assert pids["jocor"] == {os.getpid()}
-    assert len(pids["coteaching"]) == 1 and pids["coteaching"] != pids["jocor"]
-    assert {(kind, ignored) for kind, _, _, ignored in calls()} == {
-        ("jocor", False), ("coteaching", True)}
-    assert fake_blas == [1, 2]
+    # each pair steps in its own forked child, on one BLAS thread the child
+    # set itself, ignoring SIGINT so a Ctrl-C reaches the caller alone
+    assert_two_children_stepped(calls())
+    assert {(kind, blas, ignored) for kind, _, blas, ignored in calls()} == {
+        ("jocor", 1, True), ("coteaching", 1, True)}
+    assert fake_blas == []  # the caller's count is never set
     # with no OpenBLAS count to pin, both pairs step in this process
     monkeypatch.setattr(training, "_openblas_threads", lambda: None)
     inline = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
@@ -541,16 +548,16 @@ def blas_at_two_threads():
 
 @needs_fork
 @needs_openblas
-def test_train_teachers_pins_one_blas_thread_then_restores(monkeypatch, blas_at_two_threads,
-                                                           two_cpus, tmp_path):
+def test_train_teachers_steps_on_one_blas_thread_in_each_child(monkeypatch, blas_at_two_threads,
+                                                               two_cpus, tmp_path):
     get, caller_count = blas_at_two_threads
     calls = record_pair_calls(monkeypatch, tmp_path / "calls")
     noisy, _, _ = noisy_teacher_task()
     train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
-    # both processes, five epochs each, every one on one BLAS thread
+    # two children, five epochs each, every one on one BLAS thread
     assert sorted((kind, blas) for kind, _, blas, _ in calls()) == (
         [("coteaching", 1)] * 5 + [("jocor", 1)] * 5)
-    assert len(set(pid for _, pid, _, _ in calls())) == 2
+    assert_two_children_stepped(calls())
     assert get() == caller_count
 
 
@@ -591,32 +598,61 @@ def test_no_worker_when_no_blas_count_can_be_pinned(monkeypatch, two_cpus, tmp_p
 
 
 @needs_fork
-@pytest.mark.parametrize("error", [RuntimeError("joint-loss pair failed"), KeyboardInterrupt()])
+@pytest.mark.parametrize("error", [RuntimeError("the caller failed"), KeyboardInterrupt()])
 def test_an_error_in_the_parent_terminates_the_child(monkeypatch, two_cpus, tmp_path, error):
-    log = tmp_path / "calls"
-
     def before(state):
-        if state.module_kind == "coteaching":
-            time.sleep(120)  # unless terminated, the child outlives the bound below
-            os._exit(1)
-        else:
-            # raise once the child is stepping its pair
+        if state.module_kind == "jocor":
+            # once both children step, make the caller raise while it waits
             deadline = time.monotonic() + 60
             while not any(kind == "coteaching" for kind, *_ in calls()):
-                assert time.monotonic() < deadline, "the child never started"
+                assert time.monotonic() < deadline, "the second child never started"
                 time.sleep(0.01)
-            raise error
+            os.kill(os.getppid(), signal.SIGUSR1)
+        time.sleep(120)  # unless terminated, the children outlive the bound below
+        os._exit(1)
 
-    calls = record_pair_calls(monkeypatch, log, before)
+    def raise_error(signum, frame):
+        raise error
+
+    calls = record_pair_calls(monkeypatch, tmp_path / "calls", before)
     noisy, _, _ = noisy_teacher_task()
+    previous = signal.signal(signal.SIGUSR1, raise_error)
     start = time.monotonic()
-    with pytest.raises(type(error)):
-        train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
+    try:
+        with pytest.raises(type(error)):
+            train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
     assert time.monotonic() - start < 60
     assert multiprocessing.active_children() == []
-    (child,) = pids_by_kind(calls())["coteaching"]
-    with pytest.raises(ProcessLookupError):
-        os.kill(child, 0)  # terminated and reaped
+    assert_two_children_stepped(calls())
+    for _, child, _, _ in calls():
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)  # terminated and reaped
+
+
+@needs_fork
+def test_a_failed_second_fork_stops_the_first_child(monkeypatch, two_cpus, tmp_path):
+    real, forked = training._forked, []
+
+    def fork_once(name, fn, *args):
+        if forked:
+            raise OSError("fork failed")
+        forked.append(real(name, fn, *args))
+        return forked[0]
+
+    def before(state):
+        time.sleep(120)  # unless terminated, the child outlives the bound below
+        os._exit(1)
+
+    record_pair_calls(monkeypatch, tmp_path / "calls", before)
+    monkeypatch.setattr(training, "_forked", fork_once)
+    noisy, _, _ = noisy_teacher_task()
+    start = time.monotonic()
+    with pytest.raises(OSError, match="fork failed"):
+        train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
+    assert time.monotonic() - start < 60
+    assert len(forked) == 1 and multiprocessing.active_children() == []
 
 
 @needs_fork
@@ -652,17 +688,22 @@ def test_train_module_leaves_blas_and_threads_alone(monkeypatch, fake_blas, two_
 
 
 @needs_fork
-def test_overlapping_callers_share_one_blas_pin(monkeypatch, fake_blas, two_cpus, tmp_path):
-    # the count is process-wide: a caller that finishes first must not
-    # restore it while the other still trains
+def test_overlapping_callers_each_fork_their_own_pairs(monkeypatch, fake_blas, two_cpus,
+                                                       tmp_path):
+    # two threads train at once; no setting of the caller's process is shared
     get = training._openblas_threads()[0]
-    both_pinned = threading.Barrier(2, timeout=60)
-    waited = set()
+    started = tmp_path / "started"
+    started.mkdir()
 
     def before(state):
-        if state.module_kind == "jocor" and threading.get_ident() not in waited:
-            waited.add(threading.get_ident())
-            both_pinned.wait()
+        # the first jocor epoch of each caller waits until both callers step
+        marker = started / str(os.getpid())
+        if state.module_kind == "jocor" and not marker.exists():
+            marker.touch()
+            deadline = time.monotonic() + 60
+            while len(list(started.iterdir())) < 2:
+                assert time.monotonic() < deadline, "the callers never overlapped"
+                time.sleep(0.01)
 
     calls = record_pair_calls(monkeypatch, tmp_path / "calls", before)
     noisy, _, _ = noisy_teacher_task()
@@ -682,10 +723,10 @@ def test_overlapping_callers_share_one_blas_pin(monkeypatch, fake_blas, two_cpus
         t.join(timeout=120)
         assert not t.is_alive()
     assert errors == []
-    # each caller forked one child; every call in every process saw one thread
+    # each caller forked two children; every call in every child saw one thread
     assert len(calls()) == 2 * (2 + 8) and {blas for _, _, blas, _ in calls()} == {1}
-    assert len(pids_by_kind(calls())["coteaching"]) == 2
-    assert fake_blas == [1, 2]
+    assert_two_children_stepped(calls(), callers=2)
+    assert fake_blas == []
     assert get() == 2
 
 
