@@ -65,7 +65,6 @@ from .selection import (
 from .training import (
     EpochMetrics,
     ModuleResult,
-    PeerNet,
     StudentResult,
     TeacherState,
     TeachersResult,

@@ -4,7 +4,9 @@ inspect result files."""
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 
 from .data import save_csv, synthesize
 from .experiment import (
@@ -17,6 +19,7 @@ from .experiment import (
     load_result,
     run_experiment,
 )
+from .training import _exit_on_sigterm
 
 
 def _pct(value) -> str:
@@ -101,11 +104,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a SIGTERM unwinds the command as a Ctrl-C does, so a grid stops the
+    # cell processes it forked; only the main thread may set a handler, and
+    # the caller's is put back, since tests and scripts call main in-process
+    in_main = threading.current_thread() is threading.main_thread()
+    if in_main:
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if in_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Training paradigms and the two-teachers-one-student orchestration.
 
 pair_epoch trains one co-trained pair for an epoch (forward both peers,
-rank per-sample losses, keep the presumed-clean fraction, Adam-update),
-stepping the two peers as one stacked (2, P) network; the pair's
+rank per-sample losses, keep the presumed-clean fraction, Adam-update).
+A pair is stored as the one stacked (2, P) network it steps as, with one
+Adam state, and each batch's picks are one (2, k) array; the pair's
 module_kind picks the step:
 
 - coteaching: each peer updates on the OTHER peer's selection.
@@ -197,29 +198,25 @@ class _forked:
 
 
 @dataclass
-class PeerNet:
-    """One peer network: parameters plus its Adam state."""
-
-    params: ModelParams
-    opt: OptimizerState
-
-
-@dataclass
 class TeacherState:
-    """A co-trained pair of peer networks and its last epoch's selections:
-    per batch, each peer's picks as ascending dataset-global indices."""
+    """A co-trained pair of peer networks, stored as the one stacked network
+    it steps as: ``params`` over a (2, P) block, row p peer p, and one Adam
+    state over it; plus its last epoch's selections: per batch, a (2, k)
+    array of each peer's picks as ascending dataset-global indices."""
 
     module_kind: str
-    net1: PeerNet
-    net2: PeerNet
-    epoch_selections: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    params: ModelParams
+    opt: OptimizerState
+    epoch_selections: List[np.ndarray] = field(default_factory=list)
     mean_selected_loss: Optional[float] = None
 
     def __post_init__(self):
         if self.module_kind not in MODULE_KINDS:
             raise ValueError(f"module_kind must be one of {MODULE_KINDS}")
-        if self.net1.params.layer_dims != self.net2.params.layer_dims:
-            raise ValueError("peer networks must share layer dimensions")
+        shape = self.params.flat.shape
+        if len(shape) != 2 or shape[0] != 2 or {self.opt.m.shape, self.opt.v.shape} != {shape}:
+            raise ValueError(f"a pair is one (2, P) network with Adam moments of its shape, "
+                             f"got {shape}, {self.opt.m.shape} and {self.opt.v.shape}")
 
 
 @dataclass
@@ -267,12 +264,11 @@ class StudentResult:
 
 
 def init_teacher_state(module_kind: str, layer_dims, rng: np.random.Generator) -> TeacherState:
-    """Two independently initialized float32 peers drawn from one RNG stream."""
-    net1 = PeerNet(init_params(layer_dims, rng, _TRAIN_DTYPE), None)
-    net2 = PeerNet(init_params(layer_dims, rng, _TRAIN_DTYPE), None)
-    net1.opt = adam_init(net1.params)
-    net2.opt = adam_init(net2.params)
-    return TeacherState(module_kind, net1, net2)
+    """Two independently initialized float32 peers drawn from one RNG stream,
+    stacked into one (2, P) network."""
+    peers = [init_params(layer_dims, rng, _TRAIN_DTYPE).flat for _ in range(2)]
+    params = ModelParams.from_flat(layer_dims, np.stack(peers))
+    return TeacherState(module_kind, params, adam_init(params))
 
 
 def make_batches(n_samples: int, batch_size: int, rng: np.random.Generator) -> List[np.ndarray]:
@@ -310,83 +306,62 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
     coteaching(plus) ranks each peer's CE; the plus variant ranks only where
     the peers' argmax predictions differ (whole batch when they fully agree).
     jocor ranks per network ((1-lambda)*own CE + lambda*contrastive).
-    The peers are stepped in place and ``state`` is returned with this
-    epoch's selections and mean selected loss.
-
-    Both peers step as one stacked (2, P) network: one forward pass, one
-    loss pass, one backward pass over each peer's update rows and one Adam
-    update per batch. Their parameters and Adam moments are copied into one
-    block for the epoch and back into each peer's arrays at its end, so the
-    peers must share a dtype and an Adam step count; ValueError otherwise.
+    The pair's (2, P) network and its Adam state are stepped in place, as
+    one network: one forward pass, one loss pass, one backward pass over
+    each peer's update rows and one Adam update per batch. ``state`` is
+    returned with this epoch's selections, each batch's picks one (2, k)
+    array, and its mean selected loss.
     """
     kind = state.module_kind
     if kind not in MODULE_KINDS:
         raise ValueError(f"module_kind must be one of {MODULE_KINDS}, got {kind!r}")
-    net1, net2 = state.net1, state.net2
-    if net1.opt.step_count != net2.opt.step_count:
-        raise ValueError(f"the peers have taken {net1.opt.step_count} and "
-                         f"{net2.opt.step_count} Adam steps; a pair steps together")
-    arrays = (net1.params.flat, net2.params.flat, net1.opt.m, net2.opt.m,
-              net1.opt.v, net2.opt.v)
-    if len({a.dtype for a in arrays}) > 1:
-        raise ValueError("the peers' parameters and Adam moments must share one dtype, got "
-                         + ", ".join(str(a.dtype) for a in arrays))
-    block = np.stack(arrays)
-    params = ModelParams.from_flat(net1.params.layer_dims, block[0:2])
-    opt = OptimizerState(block[2:4], block[4:6], net1.opt.step_count)
+    params, opt = state.params, state.opt
     grads, scratch = _step_buffers(params)
     labels = _check_labels(noisy_train.labels, params.layer_dims[-1])
     selections = []
     batch_losses = []
-    try:
-        for idx in batches:
-            # sorted, so row order is key order: small-loss selection returns
-            # ascending positions, and each update reads its rows in the order
-            # its losses see
-            idx = np.sort(np.asarray(idx, dtype=np.intp))
-            if idx.size == 0:
-                warnings.warn("skipping empty batch", stacklevel=2)
-                continue
-            acts = activations(params, noisy_train.features.take(idx, axis=0))
-            probs = acts[-1]
-            y = labels[idx]
-            # each update's per-sample losses and derivatives are its rows of
-            # these whole-batch arrays of the ranking pass, equal bit for bit
-            # to what make_ce_loss_fn and make_joint_loss_fn give on those rows
-            if kind == "jocor":
-                rank, joint, dprobs = _jocor_terms(probs, y, lambda_weight)
-            else:
-                rank, dprobs = _ce(probs, y), _ce_prob_grad(probs, y)
-            active = np.arange(idx.size)
-            if kind == "coteachingplus":
-                predicted = probs.argmax(axis=-1)
-                disagree = predicted[0] != predicted[1]
-                if disagree.any():
-                    active = np.flatnonzero(disagree)
-            keys = idx[active]
-            picks = np.stack([active[small_loss_select(r[active], keep_fraction, keys)]
-                              for r in rank])
-            # jocor: each peer learns from its own selection; otherwise from the other's
-            upd = picks if kind == "jocor" else picks[::-1]
-            # peer p's update rows of a (2, n, ·) array seen as (2n, ·)
-            flat = upd + np.array([[0], [idx.size]])
+    for idx in batches:
+        # sorted, so row order is key order: small-loss selection returns
+        # ascending positions, and each update reads its rows in the order
+        # its losses see
+        idx = np.sort(np.asarray(idx, dtype=np.intp))
+        if idx.size == 0:
+            warnings.warn("skipping empty batch", stacklevel=2)
+            continue
+        acts = activations(params, noisy_train.features.take(idx, axis=0))
+        probs = acts[-1]
+        y = labels[idx]
+        # each update's per-sample losses and derivatives are its rows of
+        # these whole-batch arrays of the ranking pass, equal bit for bit
+        # to what make_ce_loss_fn and make_joint_loss_fn give on those rows
+        if kind == "jocor":
+            rank, joint, dprobs = _jocor_terms(probs, y, lambda_weight)
+        else:
+            rank, dprobs = _ce(probs, y), _ce_prob_grad(probs, y)
+        active = np.arange(idx.size)
+        if kind == "coteachingplus":
+            predicted = probs.argmax(axis=-1)
+            disagree = predicted[0] != predicted[1]
+            if disagree.any():
+                active = np.flatnonzero(disagree)
+        keys = idx[active]
+        picks = np.stack([active[small_loss_select(r[active], keep_fraction, keys)]
+                          for r in rank])
+        # jocor: each peer learns from its own selection; otherwise from the other's
+        upd = picks if kind == "jocor" else picks[::-1]
+        # peer p's update rows of a (2, n, ·) array seen as (2n, ·)
+        flat = upd + np.array([[0], [idx.size]])
 
-            def gather(a):
-                return a.reshape(-1, a.shape[-1]).take(flat, axis=0)
+        def gather(a):
+            return a.reshape(-1, a.shape[-1]).take(flat, axis=0)
 
-            rows = (joint.take(upd) if kind == "jocor" else rank.take(flat)), gather(dprobs)
-            gathered = [acts[0].take(upd, axis=0)] + [gather(a) for a in acts[1:]]
-            gradient(params, gathered, lambda _: rows, out=grads)
-            adam_step(params, opt, grads, lr, scratch)
-            upd_losses = rows[0].mean(axis=-1)
-            batch_losses.append(0.5 * (upd_losses[0] + upd_losses[1]))
-            selections.append((idx[picks[0]], idx[picks[1]]))
-    finally:
-        for p, net in enumerate((net1, net2)):
-            net.params.flat[...] = params.flat[p]
-            net.opt.m[...] = opt.m[p]
-            net.opt.v[...] = opt.v[p]
-            net.opt.step_count = opt.step_count
+        rows = (joint.take(upd) if kind == "jocor" else rank.take(flat)), gather(dprobs)
+        gathered = [acts[0].take(upd, axis=0)] + [gather(a) for a in acts[1:]]
+        gradient(params, gathered, lambda _: rows, out=grads)
+        adam_step(params, opt, grads, lr, scratch)
+        upd_losses = rows[0].mean(axis=-1)
+        batch_losses.append(0.5 * (upd_losses[0] + upd_losses[1]))
+        selections.append(idx[picks])
     state.epoch_selections = selections
     state.mean_selected_loss = float(np.mean(batch_losses)) if batch_losses else None
     return state
@@ -411,14 +386,14 @@ def _pair_epochs(config: TrainConfig, noisy_train: LabeledDataset, module_kind: 
                            lambda_weight=config.lambda_weight)
         # the batches partition the samples, so the union over batches of the
         # peers' common picks is the AND of each peer's picks over the epoch
-        picked1, picked2 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        for picks1, picks2 in state.epoch_selections:
-            picked1[picks1] = True
-            picked2[picks2] = True
-        inner = picked1 & picked2
+        picked = np.zeros((2, n), dtype=bool)
+        for picks in state.epoch_selections:
+            picked[[[0], [1]], picks] = True
+        inner = picked[0] & picked[1]
         accuracies = None
         if test_set is not None:
-            accuracies = [evaluate(net.params, test_set) for net in (state.net1, state.net2)]
+            accuracies = [evaluate(ModelParams.from_flat(dims, peer), test_set)
+                          for peer in state.params.flat]
         epochs.append((inner, accuracies, state.mean_selected_loss))
     return state, epochs
 

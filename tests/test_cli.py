@@ -2,6 +2,10 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,85 @@ def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
     assert summary[2].split(",")[4] != ""
     assert [p.name for p in out_dir.glob("epochs_*.csv")] == [
         "epochs_ce_baseline_symmetric_0.2_2.csv"]
+
+
+# `jocot run` on a 4-cell grid at 2 workers, whose first cell sends SIGTERM to
+# the grid process once the second cell trains; each cell records its pid in
+# the directory argv[1] and then sleeps
+_SIGTERM_GRID = """
+import os, signal, sys, time
+from pathlib import Path
+import jocot.experiment as experiment
+from jocot.cli import main
+
+started = Path(sys.argv[1])
+original = experiment._train
+
+
+def signalling(cell, train_cfg, mask, splits):
+    marker = started / f"{cell.seed}.tmp"
+    marker.write_text(str(os.getpid()))
+    marker.rename(started / str(cell.seed))
+    if cell.seed == 1:
+        deadline = time.monotonic() + 60
+        while not (started / "2").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(os.getppid(), signal.SIGTERM)
+    time.sleep(120)  # unless terminated, the cells outlive the test's bound
+    return original(cell, train_cfg, mask, splits)
+
+
+experiment._train = signalling
+experiment._fork_workers = lambda cells: 2
+sys.exit(main(["run", "--config", sys.argv[2], "--seeds", "1,2,3,4"]))
+"""
+
+
+@pytest.mark.skipif(training._default_start_method() != "fork",
+                    reason="cells train in forked processes only where fork is the default")
+def test_run_stopped_by_sigterm_stops_its_cells(tmp_path):
+    # a SIGTERM stops `jocot run` as a Ctrl-C does: SystemExit(143), the
+    # cells in training terminated and reaped, no further cell started; a
+    # grid process killed by the signal itself would exit with -15
+    started = tmp_path / "started"
+    started.mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # output to a file, not a pipe, which orphaned cells would hold open
+    log = tmp_path / "stderr"
+    try:
+        with open(log, "w") as stderr:
+            proc = subprocess.run([sys.executable, "-c", _SIGTERM_GRID, str(started),
+                                   str(write_config(tmp_path))],
+                                  env=env, stdout=subprocess.DEVNULL, stderr=stderr, timeout=60)
+        assert proc.returncode == 128 + signal.SIGTERM == 143, log.read_text()
+        assert sorted(p.name for p in started.iterdir()) == ["1", "2"]
+        for marker in started.iterdir():
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(marker.read_text()), 0)  # terminated and reaped
+    finally:
+        for marker in started.glob("[0-9]"):
+            try:
+                os.kill(int(marker.read_text()), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def test_main_puts_back_the_callers_sigterm_handler(tmp_path):
+    # tests and scripts call main in-process; the command's handler lasts
+    # as long as the command
+    def callers_handler(signum, frame):
+        raise AssertionError("not called")
+
+    previous = signal.signal(signal.SIGTERM, callers_handler)
+    try:
+        assert main(["synth", "--classes", "2", "--per-class", "3", "--dim", "2",
+                     "--out", str(tmp_path / "data.csv")]) == 0
+        assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
+        assert signal.getsignal(signal.SIGTERM) is callers_handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def test_run_bad_config_exit_two(tmp_path, capsys):

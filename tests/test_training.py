@@ -20,6 +20,7 @@ from jocot.data import LabeledDataset, synthesize
 from jocot.losses import ce_batch, make_ce_loss_fn, make_joint_loss_fn, symmetric_kl_batch
 from jocot.network import (
     ModelParams,
+    OptimizerState,
     TrainConfig,
     activations,
     adam_init,
@@ -32,7 +33,6 @@ from jocot.noise import build_noise_matrix, inject_noise
 from jocot.selection import small_loss_select
 from jocot.training import (
     EpochMetrics,
-    PeerNet,
     TeacherState,
     evaluate,
     init_teacher_state,
@@ -48,8 +48,7 @@ def planted_net(scale=10.0, bias=None):
     """2-feature 2-class linear net that classifies one-hot inputs perfectly."""
     w = np.array([[scale, -scale], [-scale, scale]])
     b = np.zeros(2) if bias is None else np.asarray(bias, dtype=float)
-    params = ModelParams([w], [b])
-    return PeerNet(params, adam_init(params))
+    return ModelParams([w], [b])
 
 
 def planted_dataset(n=8, flip_at=3):
@@ -61,10 +60,16 @@ def planted_dataset(n=8, flip_at=3):
     return LabeledDataset(feats, labels, 2)
 
 
+def stacked_pair(kind, first, second):
+    """A pair state over two chosen networks, stacked into the (2, P)
+    network the pair steps as, with fresh Adam moments."""
+    params = ModelParams.from_flat(first.layer_dims, np.stack([first.flat, second.flat]))
+    return TeacherState(kind, params, adam_init(params))
+
+
 def fresh_pair(kind, seed=0, dims=(2, 2)):
     rng = np.random.default_rng(seed)
-    return TeacherState(kind, PeerNet(init_params(dims, rng), None),
-                        PeerNet(init_params(dims, rng), None))
+    return stacked_pair(kind, init_params(dims, rng), init_params(dims, rng))
 
 
 def test_make_batches_partition():
@@ -78,9 +83,9 @@ def test_evaluate_perfect_and_zero():
     ds = planted_dataset(flip_at=0)
     ds.labels[0] = 0  # undo flip: all clean
     net = planted_net()
-    assert evaluate(net.params, ds) == 1.0
+    assert evaluate(net, ds) == 1.0
     wrong = LabeledDataset(ds.features, 1 - ds.labels, 2)
-    assert evaluate(net.params, wrong) == 0.0
+    assert evaluate(net, wrong) == 0.0
 
 
 def test_evaluate_chance_level_monte_carlo():
@@ -98,11 +103,11 @@ def test_evaluate_argmax_tie_smallest_class():
 
 def test_evaluate_empty_raises():
     with pytest.raises(ValueError, match="empty"):
-        evaluate(planted_net().params, LabeledDataset(np.empty((0, 2)), np.empty(0, int), 2))
+        evaluate(planted_net(), LabeledDataset(np.empty((0, 2)), np.empty(0, int), 2))
 
 
 def make_state(kind, net_factory=planted_net):
-    return TeacherState(kind, net_factory(), net_factory())
+    return stacked_pair(kind, net_factory(), net_factory())
 
 
 def test_coteaching_planted_sample_excluded():
@@ -157,18 +162,17 @@ def test_coteaching_cross_update_wiring_exact(monkeypatch):
 def assert_pair_epoch_by_hand(kind, dtype, updates, cuts=(17, 30), keep=0.5, agree=False):
     rng = np.random.default_rng(3)
     ds = LabeledDataset(rng.normal(size=(40, 4)), rng.integers(0, 3, 40), 3)
-    state = init_teacher_state(kind, [4, 6, 3], np.random.default_rng(4))
+    dims = [4, 6, 3]
+    peers = init_teacher_state(kind, dims, np.random.default_rng(4)).params.flat.astype(dtype)
     if agree:
-        state.net2.params = state.net1.params.copy()
-    for net in (state.net1, state.net2):
-        net.params = ModelParams.from_flat(net.params.layer_dims, net.params.flat.astype(dtype))
-        net.opt = adam_init(net.params)
+        peers[1] = peers[0]
+    state = stacked_pair(kind, *(ModelParams.from_flat(dims, peer) for peer in peers))
     # shuffled batches, so key order is not row order
     batches = np.array_split(rng.permutation(40), cuts)
     lam, lr = 0.85, 1e-2
-    # pair_epoch steps state in place: the reference starts from a copy
-    p1, o1 = state.net1.params.copy(), state.net1.opt.copy()
-    p2, o2 = state.net2.params.copy(), state.net2.opt.copy()
+    # pair_epoch steps state in place: the reference rebuilds each peer from a copy
+    p1, p2 = (ModelParams.from_flat(dims, peer.copy()) for peer in peers)
+    o1, o2 = adam_init(p1), adam_init(p2)
     out = pair_epoch(state, ds, keep, lr, batches, lambda_weight=lam)
 
     batch_losses, whole_batch_ranked = [], []
@@ -213,22 +217,12 @@ def assert_pair_epoch_by_hand(kind, dtype, updates, cuts=(17, 30), keep=0.5, agr
     if len(idx) == 1:
         assert len(sel1) == 1  # the one-row last batch
     assert out.mean_selected_loss == float(np.mean(batch_losses))
-    for got, want in ((out.net1, (p1, o1)), (out.net2, (p2, o2))):
-        assert got.params.flat.dtype == dtype
-        for a, b in ((got.params.flat, want[0].flat), (got.opt.m, want[1].m),
-                     (got.opt.v, want[1].v)):
+    assert out.params.flat.dtype == dtype
+    assert out.opt.step_count == o1.step_count == o2.step_count
+    for p, (params, opt) in enumerate(((p1, o1), (p2, o2))):
+        for a, b in ((out.params.flat[p], params.flat), (out.opt.m[p], opt.m),
+                     (out.opt.v[p], opt.v)):
             assert a.tobytes() == b.tobytes()
-
-
-def test_pair_epoch_rejects_peers_at_different_adam_steps():
-    # the stacked step gives both peers one step count
-    state = make_state("coteaching")
-    state.net2.opt.step_count = 1
-    before = state.net1.params.flat.copy()
-    with pytest.raises(ValueError, match="0 and 1 Adam steps"):
-        pair_epoch(state, planted_dataset(), 1.0, 1e-4, [np.arange(8)])
-    npt.assert_array_equal(state.net1.params.flat, before)
-    assert state.epoch_selections == []
 
 
 def test_coteaching_kind_check():
@@ -252,12 +246,9 @@ def test_jocor_lambda_zero_matches_ce_ranking():
     rng = np.random.default_rng(5)
     ds = LabeledDataset(rng.normal(size=(10, 4)), rng.integers(0, 3, 10), 3)
     state = fresh_pair("jocor", seed=6, dims=(4, 3))
-    state.net1.opt = adam_init(state.net1.params)
-    state.net2.opt = adam_init(state.net2.params)
     idx = np.arange(10)
     # the ranking reads the peers before pair_epoch steps them in place
-    l1 = ce_batch(forward(state.net1.params, ds.features), ds.labels)
-    l2 = ce_batch(forward(state.net2.params, ds.features), ds.labels)
+    l1, l2 = (ce_batch(q, ds.labels) for q in forward(state.params, ds.features))
     out = pair_epoch(state, ds, 0.4, 1e-4, [idx], lambda_weight=0.0)
     sel1, sel2 = out.epoch_selections[0]
     npt.assert_array_equal(sel1, idx[small_loss_select(l1, 0.4, idx)])
@@ -265,20 +256,15 @@ def test_jocor_lambda_zero_matches_ce_ranking():
 
 
 def test_jocor_identical_nets_stay_identical():
-    net_a = PeerNet(init_params([3, 4, 2], np.random.default_rng(7)), None)
-    net_b = PeerNet(init_params([3, 4, 2], np.random.default_rng(7)), None)
-    net_a.opt = adam_init(net_a.params)
-    net_b.opt = adam_init(net_b.params)
-    state = TeacherState("jocor", net_a, net_b)
+    net = init_params([3, 4, 2], np.random.default_rng(7))
+    state = stacked_pair("jocor", net, net)
     rng = np.random.default_rng(8)
     ds = LabeledDataset(rng.normal(size=(16, 3)), rng.integers(0, 2, 16), 2)
     out = pair_epoch(state, ds, 0.75, 1e-3, [np.arange(8), np.arange(8, 16)],
                      lambda_weight=0.85)
     for s1, s2 in out.epoch_selections:
         npt.assert_array_equal(s1, s2)
-    for a, b in zip(out.net1.params.weights + out.net1.params.biases,
-                    out.net2.params.weights + out.net2.params.biases):
-        npt.assert_array_equal(a, b)
+    npt.assert_array_equal(out.params.flat[0], out.params.flat[1])
 
 
 def test_coteachingplus_full_agreement_falls_back_to_coteaching():
@@ -287,8 +273,7 @@ def test_coteachingplus_full_agreement_falls_back_to_coteaching():
     plain = pair_epoch(make_state("coteaching"), ds, 0.5, 1e-3, [np.arange(8)])
     npt.assert_array_equal(plus.epoch_selections[0][0], plain.epoch_selections[0][0])
     npt.assert_array_equal(plus.epoch_selections[0][1], plain.epoch_selections[0][1])
-    for a, b in zip(plus.net1.params.weights, plain.net1.params.weights):
-        npt.assert_array_equal(a, b)
+    npt.assert_array_equal(plus.params.flat[0], plain.params.flat[0])
 
 
 def test_coteachingplus_singleton_disagreement():
@@ -296,8 +281,7 @@ def test_coteachingplus_singleton_disagreement():
     feats = np.vstack([np.eye(2)[np.arange(6) % 2], [[0.6, 0.4]]])
     labels = np.append(np.arange(6) % 2, 0)
     ds = LabeledDataset(feats, labels, 2)
-    state = TeacherState("coteachingplus", planted_net(),
-                         planted_net(bias=[0.0, 4.5]))
+    state = stacked_pair("coteachingplus", planted_net(), planted_net(bias=[0.0, 4.5]))
     out = pair_epoch(state, ds, 0.9, 1e-4, [np.arange(7)])
     sel1, sel2 = out.epoch_selections[0]
     assert tuple(sel1) == (6,) and tuple(sel2) == (6,)
@@ -316,8 +300,8 @@ def test_coteachingplus_disagreement_shrinks_over_training():
         for epoch in range(cfg.total_epochs):
             batches = make_batches(len(ds), cfg.batch_size, shuffle)
             state = pair_epoch(state, ds, 1.0, cfg.base_lr, batches)
-            d = (forward(state.net1.params, ds.features).argmax(axis=1)
-                 != forward(state.net2.params, ds.features).argmax(axis=1)).mean()
+            predicted = forward(state.params, ds.features).argmax(axis=-1)
+            d = (predicted[0] != predicted[1]).mean()
             fractions.append(float(d))
         drops.append(np.mean(fractions[:5]) - np.mean(fractions[-5:]))
     assert np.mean(drops) > 0
@@ -383,13 +367,8 @@ def test_train_teachers_deterministic():
     a = train_teachers(cfg, ds)
     b = train_teachers(cfg, ds)
     assert a.final_selection == b.final_selection
-    for na, nb in zip([a.jocor_state.net1, a.jocor_state.net2,
-                       a.coteaching_state.net1, a.coteaching_state.net2],
-                      [b.jocor_state.net1, b.jocor_state.net2,
-                       b.coteaching_state.net1, b.coteaching_state.net2]):
-        for x, y in zip(na.params.weights + na.params.biases,
-                        nb.params.weights + nb.params.biases):
-            npt.assert_array_equal(x, y)
+    for name in ("jocor_state", "coteaching_state"):
+        npt.assert_array_equal(getattr(a, name).params.flat, getattr(b, name).params.flat)
 
 
 def test_train_teachers_empty_consensus_raises(monkeypatch):
@@ -398,8 +377,9 @@ def test_train_teachers_empty_consensus_raises(monkeypatch):
     def degenerate_epoch(state, *args, **kwargs):
         evens = np.array([0, 2, 4, 6])
         odds = np.array([1, 3, 5, 7])
-        sels = (evens, evens) if state.module_kind == "jocor" else (odds, odds)
-        return TeacherState(state.module_kind, state.net1, state.net2, [sels], 0.0)
+        picks = evens if state.module_kind == "jocor" else odds
+        return TeacherState(state.module_kind, state.params, state.opt,
+                            [np.stack([picks, picks])], 0.0)
 
     monkeypatch.setattr(training, "pair_epoch", degenerate_epoch)
     with pytest.raises(RuntimeError, match="noise rate"):
@@ -520,13 +500,11 @@ def test_train_teachers_concurrent_equals_inline(monkeypatch, fake_blas, two_cpu
         sa, sb = getattr(concurrent, name), getattr(inline, name)
         assert sa.mean_selected_loss == sb.mean_selected_loss
         for pa, pb in zip(sa.epoch_selections, sb.epoch_selections):
-            npt.assert_array_equal(pa[0], pb[0])
-            npt.assert_array_equal(pa[1], pb[1])
-        for na, nb in ((sa.net1, sb.net1), (sa.net2, sb.net2)):
-            npt.assert_array_equal(na.params.flat, nb.params.flat)
-            npt.assert_array_equal(na.opt.m, nb.opt.m)
-            npt.assert_array_equal(na.opt.v, nb.opt.v)
-            assert na.opt.step_count == nb.opt.step_count
+            npt.assert_array_equal(pa, pb)
+        npt.assert_array_equal(sa.params.flat, sb.params.flat)
+        npt.assert_array_equal(sa.opt.m, sb.opt.m)
+        npt.assert_array_equal(sa.opt.v, sb.opt.v)
+        assert sa.opt.step_count == sb.opt.step_count
 
 
 needs_openblas = pytest.mark.skipif(training._openblas_threads() is None,
@@ -747,8 +725,8 @@ digest = hashlib.sha256(repr(result.metrics).encode())
 for mask_ in result.epoch_clean_masks:
     digest.update(mask_.tobytes())
 for state in (result.jocor_state, result.coteaching_state):
-    for net in (state.net1, state.net2):
-        for array in (net.params.flat, net.opt.m, net.opt.v):
+    for p in range(2):
+        for array in (state.params.flat[p], state.opt.m[p], state.opt.v[p]):
             digest.update(array.tobytes())
 print(digest.hexdigest())
 """
@@ -855,13 +833,22 @@ def test_epoch_metrics_bounds():
 
 
 def test_teacher_state_validation():
+    # a pair is one (2, P) network, with Adam moments of its shape
     rng = np.random.default_rng(27)
-    a = PeerNet(init_params([3, 2], rng), None)
-    b = PeerNet(init_params([4, 2], rng), None)
-    with pytest.raises(ValueError, match="layer dimensions"):
-        TeacherState("coteaching", a, b)
+    peers = np.stack([init_params([3, 2], rng).flat for _ in range(3)])
+    pair = ModelParams.from_flat([3, 2], peers[:2])
+    TeacherState("coteaching", pair, adam_init(pair))
+    for params in (ModelParams.from_flat([3, 2], peers[0]), ModelParams.from_flat([3, 2], peers)):
+        with pytest.raises(ValueError, match=r"\(2, P\)"):
+            TeacherState("coteaching", params, adam_init(params))  # one network, three
+        with pytest.raises(ValueError, match=r"\(2, P\)"):
+            TeacherState("coteaching", pair, adam_init(params))  # moments of another shape
+    zeros = np.zeros_like(pair.flat)
+    for m, v in ((zeros, zeros[0]), (zeros[:, :-1], zeros)):
+        with pytest.raises(ValueError, match=r"\(2, P\)"):
+            TeacherState("coteaching", pair, OptimizerState(m, v))
     with pytest.raises(ValueError, match="module_kind"):
-        TeacherState("boosting", a, a)
+        TeacherState("boosting", pair, adam_init(pair))
 
 
 def record_dtypes(monkeypatch):
@@ -902,8 +889,7 @@ def test_a_float32_pair_steps_in_float32(monkeypatch, kind):
     state = init_teacher_state(kind, [4, 8, 3], np.random.default_rng(31))
     pair_epoch(state, noisy, 0.7, 1e-3, make_batches(len(noisy), 16, np.random.default_rng(32)))
     assert seen == {np.dtype(np.float32)}
-    for net in (state.net1, state.net2):
-        assert {net.params.flat.dtype, net.opt.m.dtype, net.opt.v.dtype} == {np.dtype(np.float32)}
+    assert {state.params.flat.dtype, state.opt.m.dtype, state.opt.v.dtype} == {np.dtype(np.float32)}
 
 
 def test_training_builds_float32_networks(monkeypatch):
@@ -914,9 +900,8 @@ def test_training_builds_float32_networks(monkeypatch):
     teachers = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
     student = train_student(noisy, test, cfg, test_set=test)
     assert seen == {np.dtype(np.float32)}
-    nets = [teachers.jocor_state.net1, teachers.jocor_state.net2,
-            teachers.coteaching_state.net1, teachers.coteaching_state.net2]
-    assert {a.dtype for net in nets for a in (net.params.flat, net.opt.m, net.opt.v)} \
+    states = [teachers.jocor_state, teachers.coteaching_state]
+    assert {a.dtype for s in states for a in (s.params.flat, s.opt.m, s.opt.v)} \
         == {np.dtype(np.float32)}
     assert student.params.flat.dtype == np.float32
     assert noisy.features.dtype == np.float64
