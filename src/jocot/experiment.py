@@ -1,8 +1,8 @@
-"""Reproducible experiment grid: {method x noise kind x rate x seed}.
+"""Reproducible experiment grid: {rate x seed} for one method and noise kind.
 
-One config describes a dataset (CSV or synthetic), a method, a noise grid
-and seeds. Each cell injects label noise into the clean training split,
-runs the method, and scores the clean test split. Emission produces
+One config describes a dataset (CSV or synthetic), a method, a noise kind,
+its rates and seeds. Each cell injects label noise into the clean training
+split, runs the method, and scores the clean test split. Emission produces
 summary.csv (per-cell rows plus per-rate means), one epochs_<cell>.csv
 per successful cell, and a result.json that round-trips losslessly.
 """
@@ -12,10 +12,8 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-from collections import deque
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
-from itertools import islice
 from pathlib import Path
 from typing import List, Optional
 
@@ -36,7 +34,7 @@ from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     EpochMetrics,
     _fork_workers,
-    _forked,
+    _in_children,
     evaluate,
     train_module,
     train_student,
@@ -325,42 +323,14 @@ def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult
     return cell
 
 
-def _trained(jobs, splits, workers: int):
-    """Yield each (cell, train_cfg, mask) job's trained cell, in job order:
-    in this process when ``workers`` is below 2, else each in its own forked
-    child, at most ``workers`` alive at once. The next cell starts only
-    when the consumer asks for one, so a generator stopped early (progress
-    raised, or Ctrl-C) starts no further cell; it terminates the cells in
-    training. A child that dies fails its own cell only."""
-    if workers < 2:
-        for job in jobs:
-            yield _train(*job, splits)
-        return
-    window = deque()
-    todo = iter(jobs)
-    try:
-        for cell, *_ in jobs:
-            for job in islice(todo, workers - len(window)):
-                window.append(_forked("jocot-cell", _train, *job, splits))
-            try:
-                cell = window[0].result()
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                cell.error = _error(exc)
-            window.popleft().stop()
-            yield cell
-    finally:
-        for child in window:
-            child.stop()
-
-
 def run_experiment(config: ExperimentConfig,
                    progress=None) -> ExperimentResult:
     """Run every (rate, seed) cell of the configured method.
 
     The splits and every cell's label noise are made in this process, in
-    grid order. The cells then train each in a forked child process when
-    more than one fits the usable CPUs (see training._fork_workers), else
-    one after the other here; the results are the same either way. Cell
+    grid order. The cells then train as training._in_children jobs, each in
+    a forked child when more than one fits the usable CPUs, else one after
+    the other here; the results are the same either way. Cell
     failures, a child process that dies included, are recorded in the
     per-cell error field; remaining cells still run.
     ``progress`` is an optional callable fed one line per completed cell,
@@ -372,15 +342,19 @@ def run_experiment(config: ExperimentConfig,
         for seed in config.seeds:
             cell = CellResult(config.method, config.noise_kind, rate, seed)
             try:
-                jobs.append((cell, *_inject(cell, splits[0], config)))
+                jobs.append((cell, *_inject(cell, splits[0], config), splits))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 cell.error = _error(exc)
             cells.append(cell)
     # closing terminates the cells in training also when progress raises
-    with closing(_trained(jobs, splits, _fork_workers(len(jobs)))) as trained:
+    with closing(_in_children("jocot-cell", _train, jobs, _fork_workers(len(jobs)))) as calls:
         for i, cell in enumerate(cells):
             if cell.error is None:  # its noise is injected, so it has a job
-                cells[i] = cell = next(trained)
+                get = next(calls)
+                try:
+                    cells[i] = cell = get()
+                except Exception as exc:  # noqa: BLE001 - a dead child fails its own cell only
+                    cell.error = _error(exc)
             if progress is not None:
                 status = "ok" if cell.succeeded else f"FAILED ({cell.error})"
                 acc = ("" if cell.test_acc is None

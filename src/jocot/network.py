@@ -16,7 +16,7 @@ together, each peer's result equal bit for bit to what it gives alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -92,9 +92,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-
-    def copy(self) -> "OptimizerState":
-        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
 @dataclass
@@ -257,11 +254,7 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossF
         _check_dtype("out", out.flat, params)
     probs = acts[-1]
     losses, dprobs = loss_fn(probs)
-    bad = ~np.isfinite(losses)
-    if bad.any():
-        *peer, sample = np.unravel_index(np.argmax(bad), bad.shape)
-        where = "".join(f"peer {int(p)}, " for p in peer)
-        raise FloatingPointError(f"non-finite loss at {where}sample index {int(sample)}")
+    _check_finite(losses)
     # dL/dlogit_j = p_j * (dL/dp_j - sum_m p_m dL/dp_m); /n for the batch mean
     inner = np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
     delta = dprobs - inner
@@ -275,6 +268,15 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossF
             # a ReLU output is positive exactly where its input was
             delta *= acts[layer] > 0.0
     return out, losses
+
+
+def _check_finite(losses: np.ndarray) -> None:
+    """FloatingPointError naming the first non-finite loss's peer, if any, and sample."""
+    bad = ~np.isfinite(losses)
+    if bad.any():
+        *peer, sample = np.unravel_index(np.argmax(bad), bad.shape)
+        where = "".join(f"peer {int(p)}, " for p in peer)
+        raise FloatingPointError(f"non-finite loss at {where}sample index {int(sample)}")
 
 
 def _check_layout(name: str, other: ModelParams, params: ModelParams) -> None:

@@ -17,11 +17,12 @@ shared batch schedule and intersects their per-batch selections into the
 consensus clean set that feeds the student; train_module runs one pair
 through the same epoch loop. The two teacher pairs read nothing of each
 other, so each runs its whole epoch loop in its own forked child process
-(_forked, the one process primitive, which experiment's grids use too)
-while the caller waits. Each child pins its own OpenBLAS to one thread;
-the caller's count is never changed. A worker thread would gain little,
-since the GIL serialises most of a pair's many small numpy calls. Where
-_fork_workers allows no second process, both pairs step in the caller.
+while the caller waits; _in_children, the one runner of forked jobs, which
+experiment's grids use too, starts, windows and stops them. Each child
+pins its own OpenBLAS to one thread; the caller's count is never changed.
+A worker thread would gain little, since the GIL serialises most of a
+pair's many small numpy calls. Where _fork_workers allows no second
+process, both pairs step in the caller.
 train_student fits plain cross-entropy on a trusted subset, checkpointed
 by validation accuracy. Every network trains in float32, as the compared
 methods' PyTorch models did; evaluate scores it in float64.
@@ -36,7 +37,10 @@ import os
 import signal
 import traceback
 import warnings
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from multiprocessing.connection import wait
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -49,6 +53,7 @@ from .network import (
     ModelParams,
     OptimizerState,
     TrainConfig,
+    _check_finite,
     activations,
     adam_init,
     adam_step,
@@ -110,11 +115,10 @@ def _default_start_method() -> str:
 def _fork_workers(jobs: int) -> int:
     """How many forked processes share ``jobs`` independent jobs: one per
     usable CPU, at most one per job. 1 means in this process: fewer than two
-    fit, no OpenBLAS count can be pinned to one thread per process, the
-    default start method is not fork, or this process is a daemon, which
-    multiprocessing lets start no process. Under spawn or forkserver each
-    process would re-import the caller's __main__, which breaks scripts
-    that train at module level."""
+    fit, no OpenBLAS count can be pinned to one thread per process, this
+    process is a daemon, which multiprocessing lets start no process, or the
+    platform's default start method is not fork, which is then missing or
+    held unsafe in a process with threads (_forked always forks)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -155,8 +159,8 @@ class _forked:
     construction. result() waits for its answer: the child's exception is
     raised in the caller with its type and message, and a child that exits
     without an answer raises RuntimeError naming its exit code. stop()
-    terminates the child if it is still running, then joins it; the caller
-    calls it whether it returns or raises."""
+    terminates the child if it is still running, then joins it; _in_children
+    calls it whether its consumer returns or raises."""
 
     def __init__(self, name: str, fn, *args):
         context = multiprocessing.get_context("fork")
@@ -195,6 +199,28 @@ class _forked:
             self._child.terminate()
         self._child.join()
         self._recv.close()
+
+
+def _in_children(name: str, fn, jobs, workers: int):
+    """Yield, for each job of the list ``jobs`` in order, a call that returns
+    fn(*job) or raises what fn raised: in this process when ``workers`` is
+    below 2, else in a _forked child named ``name``, at most ``workers``
+    alive at once. A job starts only when a slot is free and the consumer
+    asks for the next call; its child is stopped once the consumer moves
+    on, and closing the generator terminates every live child."""
+    if workers < 2:
+        yield from (functools.partial(fn, *job) for job in jobs)
+        return
+    window, todo = deque(), iter(jobs)
+    try:
+        for _ in jobs:
+            for job in islice(todo, workers - len(window)):
+                window.append(_forked(name, fn, *job))
+            yield window[0].result
+            window.popleft().stop()
+    finally:
+        for child in window:
+            child.stop()
 
 
 @dataclass
@@ -310,7 +336,8 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
     one network: one forward pass, one loss pass, one backward pass over
     each peer's update rows and one Adam update per batch. ``state`` is
     returned with this epoch's selections, each batch's picks one (2, k)
-    array, and its mean selected loss.
+    array, and its mean selected loss. A non-finite ranking loss raises
+    FloatingPointError naming its peer and its place among the ranked rows.
     """
     kind = state.module_kind
     if kind not in MODULE_KINDS:
@@ -345,8 +372,9 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
             if disagree.any():
                 active = np.flatnonzero(disagree)
         keys = idx[active]
-        picks = np.stack([active[small_loss_select(r[active], keep_fraction, keys)]
-                          for r in rank])
+        ranked = rank[:, active]
+        _check_finite(ranked)
+        picks = np.stack([active[small_loss_select(r, keep_fraction, keys)] for r in ranked])
         # jocor: each peer learns from its own selection; otherwise from the other's
         upd = picks if kind == "jocor" else picks[::-1]
         # peer p's update rows of a (2, n, ·) array seen as (2n, ·)
@@ -404,10 +432,10 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     """The epoch loop of train_teachers and train_module: one _pair_epochs
     per (module_kind, rng role) in init_roles, each over the same batch
     schedule, then consensus, evaluation (test accuracy is the peer mean)
-    and metrics. The pairs share nothing but the schedule, so with two
-    pairs and _fork_workers allowing two processes each pair steps in its
-    own forked child, on one OpenBLAS thread, while the caller waits;
-    otherwise the caller steps every pair, with BLAS as it set it.
+    and metrics. The pairs share nothing but the schedule, so they run as
+    _in_children jobs: each in its own forked child, on one OpenBLAS thread,
+    where _fork_workers allows a process per pair, else all in the caller
+    (train_module's one pair always), with BLAS as it set it.
     The batches partition the samples, so an epoch's clean mask, the union
     over batches of the per-batch consensus, is the AND of the pairs'
     inner-consensus masks. Returns the final states, the metrics and every
@@ -416,17 +444,9 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
         raise ValueError("noisy_train is empty")
     run = functools.partial(_pair_epochs, config, noisy_train,
                             shuffle_role=shuffle_role, test_set=test_set)
-    if len(init_roles) == 2 and _fork_workers(2) == 2:
-        children = []
-        try:
-            for roles in init_roles:
-                children.append(_forked("jocot-pair", run, *roles))
-            pairs = [child.result() for child in children]
-        finally:
-            for child in children:
-                child.stop()
-    else:
-        pairs = [run(*roles) for roles in init_roles]
+    workers = _fork_workers(len(init_roles))
+    with closing(_in_children("jocot-pair", run, init_roles, workers)) as calls:
+        pairs = [get() for get in calls]
     metrics: List[EpochMetrics] = []
     clean_masks: List[np.ndarray] = []
     for epoch, per_pair in enumerate(zip(*(epochs for _, epochs in pairs))):

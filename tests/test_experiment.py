@@ -387,7 +387,7 @@ def test_a_stopped_grid_stops_the_teacher_processes_of_its_cells(tmp_path, monke
     (1, 4, True, "fork", 1),
     (8, 1, True, "fork", 1),
     (8, 4, False, "fork", 1),  # no OpenBLAS count to pin per worker
-    (8, 4, True, "spawn", 1),  # workers would re-import the caller's __main__
+    (8, 4, True, "spawn", 1),  # fork is not the platform's default: work stays here
     (8, 4, True, "forkserver", 1),
     (8, None, True, "fork", 2),  # no affinity call: os.cpu_count()
 ])

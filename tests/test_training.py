@@ -126,6 +126,32 @@ def test_coteaching_keep_all_selects_whole_batch():
     assert tuple(sel1) == tuple(range(8)) and tuple(sel2) == tuple(range(8))
 
 
+@pytest.mark.parametrize("kind", training.MODULE_KINDS)
+def test_a_non_finite_ranking_loss_names_its_peer(monkeypatch, kind):
+    # a diverged pair fails as the student does, naming peer and sample,
+    # before anything is selected or stepped
+    ds = planted_dataset()
+    state = make_state(kind)
+    state.params.flat[1] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite loss at peer"):
+        pair_epoch(state, ds, 0.5, 1e-4, [np.arange(8)])
+    assert state.opt.step_count == 0 and state.epoch_selections == []
+
+    # jocor's ranking loss holds the symmetric KL, so a NaN network spoils
+    # both peers' losses: make peer 1's ranking loss alone non-finite
+    name = "_jocor_terms" if kind == "jocor" else "_ce"
+    real = getattr(training, name)
+
+    def poisoned(probs, *args):
+        out = real(probs, *args)
+        (out[0] if kind == "jocor" else out)[1] = np.nan
+        return out
+
+    monkeypatch.setattr(training, name, poisoned)
+    with pytest.raises(FloatingPointError, match="non-finite loss at peer 1, sample index 0"):
+        pair_epoch(make_state(kind), ds, 0.5, 1e-4, [np.arange(8)])
+
+
 def lexsort_select(losses, keep_fraction, keys):
     """Selection oracle: the k smallest losses, ties to the smaller key, as
     ascending keys."""
