@@ -48,8 +48,8 @@ class LabeledDataset:
         if np.asarray(indices).dtype == bool:
             raise ValueError("subset takes sample indices, not a boolean mask")
         idx = np.asarray(indices, dtype=np.intp)
-        return LabeledDataset(self.features[idx].copy(), self.labels[idx].copy(),
-                              self.num_classes)
+        # indexing by an array already copies, so the result owns its rows
+        return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
@@ -148,12 +148,13 @@ def load_csv(path) -> LabeledDataset:
 
 def save_csv(dataset: LabeledDataset, path) -> None:
     """Write the dataset in the load_csv schema; floats via repr so a
-    save/load round trip is bitwise exact."""
+    save/load round trip is bitwise exact. Rows are formatted one at a
+    time, so no Python float outlives its row."""
     d = dataset.feature_dim
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
-        fh.writelines(",".join(map(repr, row)) + f",{label}\n"
-                      for row, label in zip(dataset.features.tolist(), dataset.labels.tolist()))
+        fh.writelines(",".join(map(repr, row.tolist())) + f",{label}\n"
+                      for row, label in zip(dataset.features, dataset.labels.tolist()))
 
 
 def rebalance(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
@@ -256,5 +257,8 @@ class Standardizer:
         return cls(mean, std)
 
     def transform(self, dataset: LabeledDataset) -> LabeledDataset:
-        return LabeledDataset((dataset.features - self.mean) / self.std,
-                              dataset.labels.copy(), dataset.num_classes)
+        """(x - mean) / std in a new array: the divide runs in place on the
+        difference, so the features are allocated once."""
+        features = np.subtract(dataset.features, self.mean)
+        features /= self.std
+        return LabeledDataset(features, dataset.labels.copy(), dataset.num_classes)

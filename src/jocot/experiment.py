@@ -35,7 +35,6 @@ from .training import (
     EpochMetrics,
     _fork_workers,
     _in_children,
-    evaluate,
     train_module,
     train_student,
     train_teachers,
@@ -299,12 +298,12 @@ def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult
                                     val_set, train_cfg, test_set=test_set)
             cell.teacher_metrics = teachers.metrics
             cell.student_metrics = student.metrics
-            cell.test_acc = evaluate(student.params, test_set)
+            cell.test_acc = student.metrics[student.best_epoch].test_accuracy
             cell.clean_set_size = len(teachers.final_selection)
         elif cell.method == "ce_baseline":
             student = train_student(noisy_train, val_set, train_cfg, test_set=test_set)
             cell.student_metrics = student.metrics
-            cell.test_acc = evaluate(student.params, test_set)
+            cell.test_acc = student.metrics[student.best_epoch].test_accuracy
             cell.clean_set_size = len(noisy_train)
         else:
             module = train_module(train_cfg, cell.method, noisy_train,

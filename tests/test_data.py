@@ -1,5 +1,6 @@
 """Data pipeline: CSV schema, rebalancing, splitting, synthetic clusters."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -329,3 +330,60 @@ def test_standardizer_constant_feature_guard():
     std = Standardizer.fit(ds)
     out = std.transform(ds)
     assert np.isfinite(out.features).all()
+
+
+# the data path's memory: tracemalloc counts numpy's array data, so a peak
+# above the result's own bytes is a transient copy
+def _traced(fn, *args):
+    """fn(*args) and the most memory it held at once beyond what was live
+    when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+def _nbytes(ds):
+    return ds.features.nbytes + ds.labels.nbytes
+
+
+@pytest.fixture(scope="module")
+def table():
+    """A 7,200 x 51 skeleton-sized table and the sorted indices of 80% of it."""
+    ds = synthesize(12, 600, dim=51, separation=3.0, seed=25)
+    picks = np.sort(np.random.default_rng(26).permutation(len(ds))[:5760])
+    return ds, picks
+
+
+def test_save_csv_formats_one_row_at_a_time(tmp_path, table):
+    # the features alone take 2.9 MB; one Python float per value at once
+    # would take over 11 MB
+    _, peak = _traced(save_csv, table[0], tmp_path / "big.csv")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("step", ["subset", "transform"])
+def test_data_step_allocates_its_result_once(table, step):
+    ds, picks = table
+    call = (ds.subset, picks) if step == "subset" else (Standardizer.fit(ds).transform, ds)
+    out, peak = _traced(*call)
+    assert peak <= 1.05 * _nbytes(out)
+
+
+def test_subset_and_transform_own_their_arrays_and_leave_the_input():
+    ds = synthesize(3, 20, dim=4, separation=2.0, seed=27)
+    features, labels = ds.features.copy(), ds.labels.copy()
+    scaler = Standardizer.fit(ds)
+    mean, std = scaler.mean.copy(), scaler.std.copy()
+    for out in (ds.subset(np.arange(len(ds))), scaler.transform(ds)):
+        assert not np.shares_memory(out.features, ds.features)
+        assert not np.shares_memory(out.labels, ds.labels)
+    npt.assert_array_equal(ds.features, features)
+    npt.assert_array_equal(ds.labels, labels)
+    npt.assert_array_equal(scaler.mean, mean)
+    npt.assert_array_equal(scaler.std, std)
+    npt.assert_array_equal(scaler.transform(ds).features, (features - mean) / std)
