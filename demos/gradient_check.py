@@ -50,7 +50,8 @@ def main() -> None:
         "joint (lambda=0.85)": make_joint_loss_fn(peer_probs, labels, 0.85),
     }
     for name, loss_fn in cases.items():
-        analytic, _ = gradient(params, activations(params, features), loss_fn)
+        acts = activations(params, features)
+        analytic = gradient(params, acts, loss_fn(acts[-1])[1])
         fd_w, fd_b = fd_gradient(
             params, features, lambda probs: float(np.mean(loss_fn(probs)[0])))
         worst = 0.0

@@ -25,7 +25,7 @@ def main() -> None:
 
     batch = np.array([10, 11, 12, 13, 14])
     losses = np.array([0.9, 0.1, 0.1, 2.0, 0.4])
-    kept = batch[small_loss_select(losses, 0.6, batch)]
+    kept = batch[small_loss_select(losses, 0.6)]
     print(f"\nbatch {batch.tolist()} with losses {losses.tolist()}")
     print(f"keep 60% -> global indices {kept.tolist()} "
           "(ties break toward the smaller index)")

@@ -33,7 +33,6 @@ from .network import FieldError, TrainConfig, _check_fields
 from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     EpochMetrics,
-    _fork_workers,
     _in_children,
     train_module,
     train_student,
@@ -346,7 +345,7 @@ def run_experiment(config: ExperimentConfig,
                 cell.error = _error(exc)
             cells.append(cell)
     # closing terminates the cells in training also when progress raises
-    with closing(_in_children("jocot-cell", _train, jobs, _fork_workers(len(jobs)))) as calls:
+    with closing(_in_children("jocot-cell", _train, jobs)) as calls:
         for i, cell in enumerate(cells):
             if cell.error is None:  # its noise is injected, so it has a job
                 get = next(calls)

@@ -2,11 +2,13 @@
 
 Each *_batch function evaluates its loss row by row over (n, M) probability
 matrices; a single sample is a one-row batch. The make_*_loss_fn closures
-adapt each loss to the callback signature of network.gradient, returning
-per-sample losses together with their derivatives w.r.t. the probabilities.
-The pair step in training reads the same values through _ce, _ce_prob_grad
-and _jocor_terms, computed once over a whole batch for both peers at once:
-they take (..., n, M) probabilities with one (n,) label vector.
+are the reference functions of one network's probabilities: each returns
+(losses, dprobs), the per-sample losses and their derivatives w.r.t. the
+probabilities, the dprobs that network.gradient back-propagates. Training
+reads the same values through _ce, _ce_prob_grad and _jocor_terms, computed
+once over a whole batch for both peers at once: they take (..., n, M)
+probabilities with one (n,) label vector. The tests hold the pair step to
+the make_*_loss_fn values bit for bit.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def _symmetric_kl_prob_grad(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def make_ce_loss_fn(labels: np.ndarray):
-    """Loss callback for network.gradient: plain supervised cross-entropy."""
+    """Reference (losses, dprobs) function of the probabilities for plain
+    supervised cross-entropy."""
     labels = np.asarray(labels)
 
     def loss_fn(probs: np.ndarray):
@@ -112,12 +115,13 @@ def make_ce_loss_fn(labels: np.ndarray):
 
 
 def make_joint_loss_fn(other_probs: np.ndarray, labels: np.ndarray, lambda_weight: float):
-    """Loss callback for one peer's update under the joint objective.
+    """Reference (losses, dprobs) function of one peer's probabilities
+    under the joint objective.
 
     The other network's probabilities enter as constants: the returned
-    per-sample values are the full joint loss, but only the calling
-    network's probabilities carry gradient. The losses and the gradient take
-    the dtype of the probabilities.
+    per-sample values are the full joint loss, but only the given
+    probabilities carry gradient. The losses and the derivative take the
+    dtype of the probabilities.
     """
     other_probs = np.asarray(other_probs)
     labels = np.asarray(labels)

@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-# loss_fn(probs[n, M]) -> (losses[n], dlosses_dprobs[n, M])
-ProbLossFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 # Adam's moment decay rates and the floor added to its denominator
 ADAM_BETA1 = 0.9
@@ -235,15 +232,15 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return activations(params, features)[-1]
 
 
-def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossFn,
-             out: Optional[ModelParams] = None) -> tuple[ModelParams, np.ndarray]:
-    """Gradient of the mean per-sample loss, laid out like params, and the per-sample losses.
+def gradient(params: ModelParams, acts: Sequence[np.ndarray], dprobs: np.ndarray,
+             out: Optional[ModelParams] = None) -> ModelParams:
+    """Gradient of the mean per-sample loss, laid out like params.
 
     ``acts`` is what ``activations`` returned, or the same rows of each of its arrays; no
     forward pass runs here. Peers may read different rows: a (peers, k, ·) gather of
-    each array, the features included. The gradient is written into ``out`` and ``out``
-    is returned; without one a new ModelParams is allocated. A non-finite loss raises
-    FloatingPointError naming its peer, if any, and its sample.
+    each array, the features included. ``dprobs`` is each row's derivative of its loss
+    w.r.t. its probabilities, ``acts[-1]``. The gradient is written into ``out`` and
+    ``out`` is returned; without one a new ModelParams is allocated.
     """
     if len(acts) != len(params.weights) + 1:
         raise ValueError(f"need {len(params.weights) + 1} activation arrays, got {len(acts)}")
@@ -253,8 +250,6 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossF
         _check_layout("out", out, params)
         _check_dtype("out", out.flat, params)
     probs = acts[-1]
-    losses, dprobs = loss_fn(probs)
-    _check_finite(losses)
     # dL/dlogit_j = p_j * (dL/dp_j - sum_m p_m dL/dp_m); /n for the batch mean
     inner = np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
     delta = dprobs - inner
@@ -267,16 +262,7 @@ def gradient(params: ModelParams, acts: Sequence[np.ndarray], loss_fn: ProbLossF
             delta = delta @ params.weights[layer].swapaxes(-1, -2)
             # a ReLU output is positive exactly where its input was
             delta *= acts[layer] > 0.0
-    return out, losses
-
-
-def _check_finite(losses: np.ndarray) -> None:
-    """FloatingPointError naming the first non-finite loss's peer, if any, and sample."""
-    bad = ~np.isfinite(losses)
-    if bad.any():
-        *peer, sample = np.unravel_index(np.argmax(bad), bad.shape)
-        where = "".join(f"peer {int(p)}, " for p in peer)
-        raise FloatingPointError(f"non-finite loss at {where}sample index {int(sample)}")
+    return out
 
 
 def _check_layout(name: str, other: ModelParams, params: ModelParams) -> None:

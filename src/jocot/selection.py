@@ -4,8 +4,10 @@ Three mechanisms: the remember-rate schedule that decides how large a
 fraction of each batch is presumed clean, small-loss selection that picks
 that fraction by an O(n) partition, and the consensus intersection that
 combines the four peer networks' selections into one trusted index set.
-Per-batch selections are numpy index arrays; SelectionSet holds the final
-clean set.
+Small-loss selection sees only the losses: it returns ascending positions
+and gives a tie at the cut to the earliest rows, so a caller that orders
+its rows by dataset index breaks ties toward the smaller index. Per-batch
+selections are numpy index arrays; SelectionSet holds the final clean set.
 """
 
 from __future__ import annotations
@@ -56,14 +58,13 @@ def remember_rate(epoch: int, num_gradual_T: int, tau: float) -> float:
     return 1.0 - min(epoch * tau / num_gradual_T, tau)
 
 
-def small_loss_select(losses, keep_fraction: float, keys) -> np.ndarray:
-    """Positions of the ceil(keep_fraction * n) smallest losses, at least 1,
-    in ascending key order.
+def small_loss_select(losses, keep_fraction: float) -> np.ndarray:
+    """Ascending positions of the ceil(keep_fraction * n) smallest losses,
+    at least 1.
 
-    ``losses`` is any sequence of per-sample losses and ``keys`` holds one
-    distinct tie-breaker per sample (its dataset-global index). Ties are
-    broken toward the smaller key, which also makes the picked keys the
-    lexicographically smallest minimum-sum subset of its size.
+    ``losses`` is any sequence of per-sample losses. Of the losses tied at
+    the cut, the earliest are picked, which also makes the picked positions
+    the lexicographically smallest minimum-sum subset of their size.
     """
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
@@ -72,24 +73,17 @@ def small_loss_select(losses, keep_fraction: float, keys) -> np.ndarray:
         raise ValueError(f"keep_fraction {keep_fraction} outside (0, 1]")
     if not np.isfinite(losses).all():
         raise ValueError("non-finite loss values")
-    keys = np.asarray(keys)
-    if keys.shape != losses.shape:
-        raise ValueError(f"keys of shape {keys.shape} do not match losses of shape {losses.shape}")
     # tiny slack so binary round-up (e.g. 0.75*4 -> 3.0000000000000004)
     # cannot inflate the ceiling
     k = max(1, math.ceil(keep_fraction * losses.size - 1e-12))
     # every loss up to the k-th smallest is picked, but of the ties at it
-    # only the ones with the smallest keys, as lexsort((keys, losses)) ranks them
+    # only the earliest, as a stable sort of the losses ranks them
     threshold = np.partition(losses, k - 1)[k - 1]
     picked = losses <= threshold
     extra = np.count_nonzero(picked) - k
     if extra:
-        ties = np.flatnonzero(losses == threshold)
-        cut = ties.size - extra
-        picked[ties[np.argpartition(keys[ties], cut)[cut:]]] = False
-    positions = np.flatnonzero(picked)
-    # a stable sort is linear on keys already in order, as a batch's are
-    return positions[np.argsort(keys[positions], kind="stable")]
+        picked[np.flatnonzero(losses == threshold)[-extra:]] = False
+    return np.flatnonzero(picked)
 
 
 def consensus(*pairs) -> np.ndarray:

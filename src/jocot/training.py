@@ -53,7 +53,6 @@ from .network import (
     ModelParams,
     OptimizerState,
     TrainConfig,
-    _check_finite,
     activations,
     adam_init,
     adam_step,
@@ -201,13 +200,15 @@ class _forked:
         self._recv.close()
 
 
-def _in_children(name: str, fn, jobs, workers: int):
+def _in_children(name: str, fn, jobs):
     """Yield, for each job of the list ``jobs`` in order, a call that returns
-    fn(*job) or raises what fn raised: in this process when ``workers`` is
-    below 2, else in a _forked child named ``name``, at most ``workers``
-    alive at once. A job starts only when a slot is free and the consumer
-    asks for the next call; its child is stopped once the consumer moves
-    on, and closing the generator terminates every live child."""
+    fn(*job) or raises what fn raised: in this process when _fork_workers
+    allows no second process, else in a _forked child named ``name``, at
+    most _fork_workers(len(jobs)) alive at once. A job starts only when a
+    slot is free and the consumer asks for the next call; its child is
+    stopped once the consumer moves on, and closing the generator
+    terminates every live child."""
+    workers = _fork_workers(len(jobs))
     if workers < 2:
         yield from (functools.partial(fn, *job) for job in jobs)
         return
@@ -317,6 +318,15 @@ def evaluate(params: ModelParams, dataset: LabeledDataset) -> float:
     return float((preds == dataset.labels).mean())
 
 
+def _check_finite(losses: np.ndarray) -> None:
+    """FloatingPointError naming the first non-finite loss's peer, if any, and sample."""
+    bad = ~np.isfinite(losses)
+    if bad.any():
+        *peer, sample = np.unravel_index(np.argmax(bad), bad.shape)
+        where = "".join(f"peer {int(p)}, " for p in peer)
+        raise FloatingPointError(f"non-finite loss at {where}sample index {int(sample)}")
+
+
 def _step_buffers(params: ModelParams) -> Tuple[ModelParams, np.ndarray]:
     """One (3, *params.flat.shape) block for a network step: a gradient laid
     out like params, then adam_step's scratch, in the parameters' dtype."""
@@ -348,9 +358,9 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
     selections = []
     batch_losses = []
     for idx in batches:
-        # sorted, so row order is key order: small-loss selection returns
-        # ascending positions, and each update reads its rows in the order
-        # its losses see
+        # sorted, so row order is index order: small-loss selection gives
+        # tied losses to the earliest rows, hence to the smaller dataset
+        # indices, and each update reads its rows in ascending order
         idx = np.sort(np.asarray(idx, dtype=np.intp))
         if idx.size == 0:
             warnings.warn("skipping empty batch", stacklevel=2)
@@ -360,7 +370,8 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
         y = labels[idx]
         # each update's per-sample losses and derivatives are its rows of
         # these whole-batch arrays of the ranking pass, equal bit for bit
-        # to what make_ce_loss_fn and make_joint_loss_fn give on those rows
+        # to what make_ce_loss_fn and make_joint_loss_fn give on those rows;
+        # they lie among the ranked rows, whose losses are checked finite
         if kind == "jocor":
             rank, joint, dprobs = _jocor_terms(probs, y, lambda_weight)
         else:
@@ -371,10 +382,9 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
             disagree = predicted[0] != predicted[1]
             if disagree.any():
                 active = np.flatnonzero(disagree)
-        keys = idx[active]
         ranked = rank[:, active]
         _check_finite(ranked)
-        picks = np.stack([active[small_loss_select(r, keep_fraction, keys)] for r in ranked])
+        picks = np.stack([active[small_loss_select(r, keep_fraction)] for r in ranked])
         # jocor: each peer learns from its own selection; otherwise from the other's
         upd = picks if kind == "jocor" else picks[::-1]
         # peer p's update rows of a (2, n, ·) array seen as (2n, ·)
@@ -383,11 +393,10 @@ def pair_epoch(state: TeacherState, noisy_train: LabeledDataset,
         def gather(a):
             return a.reshape(-1, a.shape[-1]).take(flat, axis=0)
 
-        rows = (joint.take(upd) if kind == "jocor" else rank.take(flat)), gather(dprobs)
         gathered = [acts[0].take(upd, axis=0)] + [gather(a) for a in acts[1:]]
-        gradient(params, gathered, lambda _: rows, out=grads)
+        gradient(params, gathered, gather(dprobs), out=grads)
         adam_step(params, opt, grads, lr, scratch)
-        upd_losses = rows[0].mean(axis=-1)
+        upd_losses = (joint.take(upd) if kind == "jocor" else rank.take(flat)).mean(axis=-1)
         batch_losses.append(0.5 * (upd_losses[0] + upd_losses[1]))
         selections.append(idx[picks])
     state.epoch_selections = selections
@@ -444,8 +453,7 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
         raise ValueError("noisy_train is empty")
     run = functools.partial(_pair_epochs, config, noisy_train,
                             shuffle_role=shuffle_role, test_set=test_set)
-    workers = _fork_workers(len(init_roles))
-    with closing(_in_children("jocot-pair", run, init_roles, workers)) as calls:
+    with closing(_in_children("jocot-pair", run, init_roles)) as calls:
         pairs = [get() for get in calls]
     metrics: List[EpochMetrics] = []
     clean_masks: List[np.ndarray] = []
@@ -533,10 +541,11 @@ def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,
         for idx in make_batches(n, config.batch_size, shuffle_rng):
             acts = activations(params, clean_train.features[idx])
             y = labels[idx]
-            rows = _ce(acts[-1], y), _ce_prob_grad(acts[-1], y)
-            gradient(params, acts, lambda _: rows, out=grads)
+            losses = _ce(acts[-1], y)
+            _check_finite(losses)
+            gradient(params, acts, _ce_prob_grad(acts[-1], y), out=grads)
             adam_step(params, opt, grads, lr, scratch)
-            batch_losses.append(float(rows[0].mean()))
+            batch_losses.append(float(losses.mean()))
         val_acc = evaluate(params, clean_val)
         test_acc = evaluate(params, test_set) if test_set is not None else None
         if val_acc > best_val:

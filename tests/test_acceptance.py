@@ -101,7 +101,8 @@ def test_01_gradient_oracle():
                 other = rng.dirichlet(np.full(num_classes, 1.5), size=n)
                 lam = 1.0 if kind == "contrastive" else float(rng.uniform(0.3, 0.9))
                 loss_fn = make_joint_loss_fn(other, labels, lam)
-            analytic, _ = gradient(params, activations(params, features), loss_fn)
+            acts = activations(params, features)
+            analytic = gradient(params, acts, loss_fn(acts[-1])[1])
             fd_w, fd_b = fd_gradient(
                 params, features, lambda probs: float(np.mean(loss_fn(probs)[0])))
             worst = max(worst,
@@ -182,7 +183,7 @@ def test_04_selection_oracle():
         else:
             losses = rng.standard_normal(n) ** 2
         keep = float(rng.uniform(0.05, 1.0))
-        selected = tuple(small_loss_select(losses, keep, np.arange(n)))
+        selected = tuple(small_loss_select(losses, keep))
         k = max(1, math.ceil(keep * n - 1e-12))
         best = min((math.fsum(losses[i] for i in combo), combo)
                    for combo in itertools.combinations(range(n), k))

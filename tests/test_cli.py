@@ -161,7 +161,7 @@ def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
         return original(clean_train, clean_val, cfg, **kw)
 
     monkeypatch.setattr(experiment, "train_student", dying)
-    monkeypatch.setattr(experiment, "_fork_workers", lambda cells: 2)
+    monkeypatch.setattr(training, "_fork_workers", lambda jobs: 2)
     config = write_config(tmp_path)
     assert main(["run", "--config", str(config), "--seeds", "1,2"]) == 1
     out_dir = tmp_path / "results"
@@ -186,6 +186,7 @@ _SIGTERM_GRID = """
 import os, signal, sys, time
 from pathlib import Path
 import jocot.experiment as experiment
+import jocot.training as training
 from jocot.cli import main
 
 started = Path(sys.argv[1])
@@ -206,7 +207,7 @@ def signalling(cell, train_cfg, mask, splits):
 
 
 experiment._train = signalling
-experiment._fork_workers = lambda cells: 2
+training._fork_workers = lambda jobs: 2
 sys.exit(main(["run", "--config", sys.argv[2], "--seeds", "1,2,3,4"]))
 """
 

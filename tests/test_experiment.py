@@ -35,8 +35,13 @@ needs_fork = pytest.mark.skipif(
     reason="cells train in forked processes only where fork is the default")
 
 
-def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(experiment, "_fork_workers", lambda cells: workers)
+def force_workers(monkeypatch, workers, cells=None):
+    """Run forked jobs ``workers`` at a time: every runner's, or with
+    ``cells`` only those of a grid of that many cells, so that a cell's two
+    teacher pairs keep the real rule."""
+    real = training._fork_workers
+    monkeypatch.setattr(training, "_fork_workers",
+                        lambda jobs: workers if cells in (None, jobs) else real(jobs))
 
 
 def tiny_config(**kw):
@@ -282,7 +287,7 @@ def fork_teachers(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_teacher_process_that_dies_fails_its_cell_only(monkeypatch, workers):
     # each jocot cell forks its teacher pairs, also from a cell's own child
-    force_workers(monkeypatch, workers)
+    force_workers(monkeypatch, workers, cells=3)
     fork_teachers(monkeypatch)
     cfg = tiny_config(seeds=(1, 2, 3))
     clean = run_experiment(cfg)

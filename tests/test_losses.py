@@ -167,7 +167,8 @@ def test_ce_loss_fn_gradient_matches_fd():
     x = rng.normal(size=(6, 5))
     labels = rng.integers(0, 4, size=6)
     loss_fn = make_ce_loss_fn(labels)
-    grads, _ = gradient(params, activations(params, x), loss_fn)
+    acts = activations(params, x)
+    grads = gradient(params, acts, loss_fn(acts[-1])[1])
     fd_w, fd_b = fd_gradient(params, x, lambda p: loss_fn(p)[0].mean())
     for a, n in zip(grads.weights + grads.biases, fd_w + fd_b):
         npt.assert_allclose(a, n, rtol=1e-5, atol=1e-8)
@@ -182,7 +183,8 @@ def test_joint_loss_fn_gradient_matches_fd():
     other_probs = forward(other, x)
     for lam in [0.0, 0.5, 0.85, 1.0]:
         loss_fn = make_joint_loss_fn(other_probs, labels, lam)
-        grads, _ = gradient(params, activations(params, x), loss_fn)
+        acts = activations(params, x)
+        grads = gradient(params, acts, loss_fn(acts[-1])[1])
         fd_w, fd_b = fd_gradient(params, x, lambda p: loss_fn(p)[0].mean())
         for a, n in zip(grads.weights + grads.biases, fd_w + fd_b):
             npt.assert_allclose(a, n, rtol=1e-5, atol=1e-8)
@@ -196,7 +198,8 @@ def test_joint_contrastive_gradient_zero_when_predictions_coincide():
     x = rng.normal(size=(5, 4))
     probs = forward(params, x)
     labels = rng.integers(0, 3, size=5)
-    grads, _ = gradient(params, activations(params, x), make_joint_loss_fn(probs, labels, 1.0))
+    acts = activations(params, x)
+    grads = gradient(params, acts, make_joint_loss_fn(probs, labels, 1.0)(acts[-1])[1])
     for g in grads.weights + grads.biases:
         npt.assert_allclose(g, np.zeros_like(g), atol=1e-12)
 

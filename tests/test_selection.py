@@ -17,10 +17,11 @@ from jocot.selection import (
 
 
 def select_keys(pairs, keep_fraction):
-    """Run small_loss_select on (key, loss) pairs; the picked keys in order."""
-    keys = [int(i) for i, _ in pairs]
-    positions = small_loss_select([l for _, l in pairs], keep_fraction, keys)
-    return tuple(keys[p] for p in positions)
+    """Run small_loss_select on (key, loss) pairs in key order, as a pair
+    step sorts its batch by dataset index; the picked keys in order."""
+    pairs = sorted(pairs)
+    positions = small_loss_select([l for _, l in pairs], keep_fraction)
+    return tuple(int(pairs[p][0]) for p in positions)
 
 
 def min_sum_subset(pairs, k):
@@ -123,15 +124,13 @@ def test_small_loss_select_matches_subset_oracle():
 
 def test_small_loss_select_errors():
     with pytest.raises(ValueError, match="empty"):
-        small_loss_select([], 0.5, [])
+        small_loss_select([], 0.5)
     with pytest.raises(ValueError, match="keep_fraction"):
-        small_loss_select([1.0], 0.0, [0])
+        small_loss_select([1.0], 0.0)
     with pytest.raises(ValueError, match="keep_fraction"):
-        small_loss_select([1.0], 1.2, [0])
+        small_loss_select([1.0], 1.2)
     with pytest.raises(ValueError, match="finite"):
-        small_loss_select([float("nan")], 0.5, [0])
-    with pytest.raises(ValueError, match="shape"):
-        small_loss_select([1.0, 2.0], 0.5, [0])
+        small_loss_select([float("nan")], 0.5)
 
 
 def test_selection_set_normalizes_and_validates():
@@ -182,11 +181,14 @@ def test_consensus_equals_four_way_intersection_random(a, b, c, d):
     assert composed == sorted(set(a) & set(b) & set(c) & set(d))
 
 
-# property tests: the oracle is a plain sort of (loss, key) pairs
+# property tests: the oracle is a plain sort of (loss, position) pairs
 
-def _sorted_oracle(losses, keys, k):
-    ranked = sorted(range(len(losses)), key=lambda i: (losses[i], keys[i]))[:k]
-    return sorted(ranked, key=lambda i: keys[i])
+def _sorted_oracle(losses, k):
+    return sorted(sorted(range(len(losses)), key=lambda i: (losses[i], i))[:k])
+
+
+def _lexsort_oracle(losses, k):
+    return np.sort(np.lexsort((np.arange(len(losses)), losses))[:k]).tolist()
 
 
 _losses = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -195,68 +197,43 @@ _tied_losses = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1, max_
 _fractions = st.floats(min_value=1e-3, max_value=1.0)
 
 
-def _distinct_keys(n):
-    return st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True)
-
-
-@given(st.data(), _losses, _fractions)
-def test_small_loss_select_matches_sorted_oracle(data, losses, keep):
-    keys = data.draw(_distinct_keys(len(losses)))
-    got = small_loss_select(losses, keep, keys)
+@given(_losses, _fractions)
+def test_small_loss_select_matches_sorted_oracle(losses, keep):
+    got = small_loss_select(losses, keep)
     k = max(1, math.ceil(keep * len(losses) - 1e-12))
     assert len(got) == k
-    assert got.tolist() == _sorted_oracle(losses, keys, k)
+    assert got.tolist() == _sorted_oracle(losses, k)
 
 
-@given(st.data(), _tied_losses, _fractions)
-def test_small_loss_select_ties_go_to_smaller_key(data, losses, keep):
+@given(_tied_losses, _fractions)
+def test_small_loss_select_ties_go_to_smaller_key(losses, keep):
     # -log(1.0) is -0.0, so exact zeros of both signs meet in real batches;
-    # they form one tie group broken by key
-    keys = data.draw(_distinct_keys(len(losses)))
-    got = small_loss_select(losses, keep, keys)
+    # they form one tie group broken by position
+    got = small_loss_select(losses, keep)
     k = max(1, math.ceil(keep * len(losses) - 1e-12))
-    assert got.tolist() == _sorted_oracle(losses, keys, k)
-    zero_keys = sorted(keys[i] for i, loss in enumerate(losses) if loss == 0.0)
-    assert set(zero_keys[:k]) <= {keys[i] for i in got}
+    assert got.tolist() == _sorted_oracle(losses, k)
+    zeros = [i for i, loss in enumerate(losses) if loss == 0.0]
+    assert set(zeros[:k]) <= set(got.tolist())
 
 
-@given(st.data(), _tied_losses, _fractions)
-def test_small_loss_select_keys_invariant_under_permutation(data, losses, keep):
-    keys = data.draw(_distinct_keys(len(losses)))
-    order = data.draw(st.permutations(range(len(losses))))
-    before = [keys[i] for i in small_loss_select(losses, keep, keys)]
-    shuffled_keys = [keys[i] for i in order]
-    after = [shuffled_keys[i]
-             for i in small_loss_select([losses[i] for i in order], keep, shuffled_keys)]
-    assert before == after
-
-
-@given(st.data(), st.sampled_from([np.float32, np.float64]),
+@given(st.sampled_from([np.float32, np.float64]),
        st.lists(st.sampled_from([0.0, -0.0, 1e-7, 0.25, 0.5, 3.0]), min_size=1, max_size=60),
        _fractions)
-def test_small_loss_select_equals_lexsort(data, dtype, values, keep):
-    # a handful of values forces ties, which go to the smaller key
+def test_small_loss_select_equals_lexsort(dtype, values, keep):
+    # a handful of values forces ties, which go to the earlier position
     losses = np.array(values, dtype=dtype)
-    keys = np.array(data.draw(_distinct_keys(len(values))), dtype=np.intp)
     k = max(1, math.ceil(keep * len(values) - 1e-12))
-    picked = np.lexsort((keys, losses))[:k]
-    want = picked[np.argsort(keys[picked])]
-    assert small_loss_select(losses, keep, keys).tolist() == want.tolist()
+    assert small_loss_select(losses, keep).tolist() == _lexsort_oracle(losses, k)
 
 
-@given(st.data(), st.lists(st.sampled_from([0.0, -0.0, 1e-7, 0.25, 0.5, 3.0]),
-                           min_size=1, max_size=60), _fractions, st.booleans())
-def test_small_loss_select_takes_a_list_of_float32_scalars(data, values, keep, ascending):
+@given(st.lists(st.sampled_from([0.0, -0.0, 1e-7, 0.25, 0.5, 3.0]), min_size=1, max_size=60),
+       _fractions)
+def test_small_loss_select_takes_a_list_of_float32_scalars(values, keep):
     # a traced run hands the ranking losses over as list(losses): numpy
-    # float32 scalars in a Python list; a pair step's keys are ascending
+    # float32 scalars in a Python list
     losses = np.array(values, dtype=np.float32)
-    keys = np.array(data.draw(_distinct_keys(len(values))), dtype=np.intp)
-    if ascending:
-        keys = np.sort(keys)
     k = max(1, math.ceil(keep * len(values) - 1e-12))
-    picked = np.lexsort((keys, losses))[:k]
-    want = picked[np.argsort(keys[picked])]
-    assert small_loss_select(list(losses), keep, keys).tolist() == want.tolist()
+    assert small_loss_select(list(losses), keep).tolist() == _lexsort_oracle(losses, k)
 
 
 def test_small_loss_select_a_batch_as_a_pair_step_ranks_it():
@@ -264,10 +241,7 @@ def test_small_loss_select_a_batch_as_a_pair_step_ranks_it():
     # traced list and as the array, against the lexsort oracle
     rng = np.random.default_rng(3)
     losses = np.round(rng.exponential(size=512), 1).astype(np.float32)
-    keys = np.sort(rng.choice(100_000, size=512, replace=False))
     for keep in (0.55, 0.8, 1.0, 1 / 512):
-        k = max(1, math.ceil(keep * 512 - 1e-12))
-        picked = np.lexsort((keys, losses))[:k]
-        want = picked[np.argsort(keys[picked])].tolist()
-        assert small_loss_select(losses, keep, keys).tolist() == want
-        assert small_loss_select(list(losses), keep, keys).tolist() == want
+        want = _lexsort_oracle(losses, max(1, math.ceil(keep * 512 - 1e-12)))
+        assert small_loss_select(losses, keep).tolist() == want
+        assert small_loss_select(list(losses), keep).tolist() == want

@@ -152,6 +152,34 @@ def test_a_non_finite_ranking_loss_names_its_peer(monkeypatch, kind):
         pair_epoch(make_state(kind), ds, 0.5, 1e-4, [np.arange(8)])
 
 
+def test_a_non_finite_student_loss_names_its_sample(monkeypatch):
+    real = training._ce
+
+    def poisoned(probs, labels):
+        out = real(probs, labels)
+        out[2] = np.inf
+        return out
+
+    monkeypatch.setattr(training, "_ce", poisoned)
+    ds = synthesize(3, 10, dim=4, separation=3.0, seed=20)
+    with pytest.raises(FloatingPointError, match="^non-finite loss at sample index 2$"):
+        train_student(ds, ds, small_cfg())
+
+
+@pytest.mark.parametrize("kind", training.MODULE_KINDS)
+def test_pair_epoch_gives_tied_losses_to_the_smaller_indices(kind):
+    # every sample is the same, so every loss of a peer ties in every batch;
+    # the batches are shuffled, so only the step's sort of each batch sends
+    # the picks to its smaller dataset indices
+    ds = LabeledDataset(np.zeros((12, 4)), np.zeros(12, int), 3)
+    state = init_teacher_state(kind, [4, 6, 3], np.random.default_rng(50))
+    batches = np.array_split(np.random.default_rng(51).permutation(12), [7])
+    out = pair_epoch(state, ds, 0.5, 1e-2, batches)
+    for picks, idx in zip(out.epoch_selections, batches):
+        want = np.sort(idx)[:math.ceil(0.5 * len(idx))]
+        npt.assert_array_equal(picks, [want, want])
+
+
 def lexsort_select(losses, keep_fraction, keys):
     """Selection oracle: the k smallest losses, ties to the smaller key, as
     ascending keys."""
@@ -162,19 +190,18 @@ def lexsort_select(losses, keep_fraction, keys):
 def test_coteaching_cross_update_wiring_exact(monkeypatch):
     # every kind, in float32 and float64: recompute the epoch by hand from
     # the public loss functions and demand bitwise-equal parameters,
-    # selections, mean selected loss and per-update losses and derivatives;
+    # selections, mean selected loss and per-update loss derivatives;
     # catches any own-selection/peer-selection mixup, and any drift of the
     # step's whole-batch loss arrays from ce_batch, symmetric_kl_batch and
-    # the make_*_loss_fn callbacks. Also at a one-row last batch (k = 1), at
-    # keep_fraction 1, and with peers that agree on every sample
+    # the make_*_loss_fn reference functions. Also at a one-row last batch
+    # (k = 1), at keep_fraction 1, and with peers that agree on every sample
     updates = []
 
-    def recording(params, acts, loss_fn, out=None):
+    def recording(params, acts, dprobs, out=None):
         # the pair steps both peers in one call on stacked (2, k, ·) rows:
-        # record each peer's losses and derivatives
-        losses, dprobs = loss_fn(acts[-1])
-        updates.extend(zip(losses, dprobs))
-        return gradient(params, acts, loss_fn, out=out)
+        # record each peer's derivatives
+        updates.extend(dprobs)
+        return gradient(params, acts, dprobs, out=out)
 
     monkeypatch.setattr(training, "gradient", recording)
     cases = [{}, {"cuts": [17, 39]}, {"keep": 1.0}]
@@ -229,12 +256,10 @@ def assert_pair_epoch_by_hand(kind, dtype, updates, cuts=(17, 30), keep=0.5, agr
             loss2 = make_joint_loss_fn(q1[upd2], y[upd2], lam)
         else:
             loss1, loss2 = make_ce_loss_fn(y[upd1]), make_ce_loss_fn(y[upd2])
-        for got, want in zip(updates[2 * b:2 * b + 2], (loss1(q1[upd1]), loss2(q2[upd2]))):
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        g1, l1 = gradient(p1, [a[upd1] for a in a1], loss1)
-        adam_step(p1, o1, g1, lr)
-        g2, l2 = gradient(p2, [a[upd2] for a in a2], loss2)
-        adam_step(p2, o2, g2, lr)
+        (l1, d1), (l2, d2) = loss1(q1[upd1]), loss2(q2[upd2])
+        assert [a.tobytes() for a in updates[2 * b:2 * b + 2]] == [d1.tobytes(), d2.tobytes()]
+        adam_step(p1, o1, gradient(p1, [a[upd1] for a in a1], d1), lr)
+        adam_step(p2, o2, gradient(p2, [a[upd2] for a in a2], d2), lr)
         batch_losses.append(0.5 * (l1.mean() + l2.mean()))
     if kind == "coteachingplus" and not agree and len(idx) > 1:
         assert len(sel1) < keep * len(idx)  # the disagreement gate was exercised
@@ -277,8 +302,8 @@ def test_jocor_lambda_zero_matches_ce_ranking():
     l1, l2 = (ce_batch(q, ds.labels) for q in forward(state.params, ds.features))
     out = pair_epoch(state, ds, 0.4, 1e-4, [idx], lambda_weight=0.0)
     sel1, sel2 = out.epoch_selections[0]
-    npt.assert_array_equal(sel1, idx[small_loss_select(l1, 0.4, idx)])
-    npt.assert_array_equal(sel2, idx[small_loss_select(l2, 0.4, idx)])
+    npt.assert_array_equal(sel1, idx[small_loss_select(l1, 0.4)])
+    npt.assert_array_equal(sel2, idx[small_loss_select(l2, 0.4)])
 
 
 def test_jocor_identical_nets_stay_identical():
@@ -888,18 +913,18 @@ def record_dtypes(monkeypatch):
         seen.update(a.dtype for a in [params.flat, *acts])
         return acts
 
-    def recording_gradient(params, acts, loss_fn, out=None):
-        grads, losses = gradient(params, acts, loss_fn, out=out)
-        seen.update(a.dtype for a in (params.flat, grads.flat, losses))
-        return grads, losses
+    def recording_gradient(params, acts, dprobs, out=None):
+        grads = gradient(params, acts, dprobs, out=out)
+        seen.update(a.dtype for a in (params.flat, grads.flat, dprobs))
+        return grads
 
     def recording_adam_step(params, state, grads, lr, scratch=None):
         adam_step(params, state, grads, lr, scratch)
         seen.update(a.dtype for a in (params.flat, state.m, state.v, grads.flat, scratch))
 
-    def recording_select(losses, keep_fraction, keys):
+    def recording_select(losses, keep_fraction):
         seen.add(losses.dtype)
-        return small_loss_select(losses, keep_fraction, keys)
+        return small_loss_select(losses, keep_fraction)
 
     monkeypatch.setattr(training, "activations", recording_activations)
     monkeypatch.setattr(training, "gradient", recording_gradient)
