@@ -64,7 +64,6 @@ from .selection import (
 )
 from .training import (
     EpochMetrics,
-    ModuleResult,
     StudentResult,
     TeacherState,
     TeachersResult,
@@ -72,7 +71,6 @@ from .training import (
     init_teacher_state,
     make_batches,
     pair_epoch,
-    train_module,
     train_student,
     train_teachers,
 )

@@ -32,14 +32,12 @@ from .data import (
 from .network import FieldError, TrainConfig, _check_fields
 from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
+    METHODS,
     EpochMetrics,
     _in_children,
-    train_module,
     train_student,
     train_teachers,
 )
-
-METHODS = ("jocot", "coteaching", "coteachingplus", "jocor", "ce_baseline")
 
 # spawn key prefix separating noise-injection streams from training streams
 _NOISE_SPAWN_PREFIX = 1000
@@ -56,7 +54,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, seed=0)
+        _check_fields(self, num_classes=2, per_class=1, dim=2, seed=0)
+        if not self.separation > 0:
+            raise FieldError("separation", f"must be > 0, got {self.separation!r}")
 
 
 @dataclass
@@ -76,7 +76,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_fields(self, split_seed=0, rebalance_per_class=1)
         if self.method not in METHODS:
-            raise FieldError("method", f"must be one of {METHODS}, got {self.method!r}")
+            raise FieldError("method", f"must be one of {tuple(METHODS)}, got {self.method!r}")
         if self.noise_kind not in NOISE_KINDS:
             raise FieldError("noise_kind", f"must be one of {NOISE_KINDS}")
         if not self.rates or any(not 0.0 <= r < 1.0 for r in self.rates):
@@ -257,6 +257,13 @@ def _prepare_splits(config: ExperimentConfig):
     if config.rebalance_per_class is not None:
         dataset = rebalance(dataset, config.rebalance_per_class, config.split_seed)
     train, test, val = split(dataset, SplitSpec(seed=config.split_seed))
+    # a split left empty would fail every cell after training; only a
+    # student reads the validation split
+    empty = [name for name, part in (("train", train), ("test", test), ("val", val))
+             if len(part) == 0 and (name != "val" or METHODS[config.method][2])]
+    if empty:
+        raise ValueError(f"no sample in the {' or '.join(empty)} split: the data splits "
+                         f"into {len(train)} train, {len(test)} test and {len(val)} val samples")
     if config.standardize:
         scaler = Standardizer.fit(train)
         train, test, val = (scaler.transform(d) for d in (train, test, val))
@@ -284,32 +291,30 @@ def _inject(cell: CellResult, train_set: LabeledDataset, config: ExperimentConfi
 
 def _train(cell: CellResult, train_cfg: TrainConfig, mask, splits) -> CellResult:
     """The training half of a cell, on the (train, test, val) splits with
-    the mask's noisy labels: fills in and returns ``cell``; exceptions
-    become the cell's error."""
+    the mask's noisy labels: the method's teacher pairs, if any, then its
+    student, if any, on their clean set or on every sample. Fills in and
+    returns ``cell``, whose test accuracy is the last phase's; an exception
+    becomes the cell's error."""
     train_set, test_set, val_set = splits
     try:
+        pairs, _, trains_student = METHODS[cell.method]
         noisy_train = LabeledDataset(train_set.features, mask.noisy_labels,
                                      train_set.num_classes)
-        if cell.method == "jocot":
-            teachers = train_teachers(train_cfg, noisy_train,
+        teacher_metrics, student_metrics, clean_set_size = [], [], len(noisy_train)
+        if pairs:
+            teachers = train_teachers(train_cfg, noisy_train, cell.method,
                                       test_set=test_set, noise_mask=mask)
-            student = train_student(noisy_train.subset(teachers.final_selection.indices),
+            final = teachers.final_selection.indices
+            teacher_metrics, clean_set_size = teachers.metrics, len(final)
+            test_acc = teacher_metrics[-1].test_accuracy
+        if trains_student:
+            student = train_student(noisy_train.subset(final) if pairs else noisy_train,
                                     val_set, train_cfg, test_set=test_set)
-            cell.teacher_metrics = teachers.metrics
-            cell.student_metrics = student.metrics
-            cell.test_acc = student.metrics[student.best_epoch].test_accuracy
-            cell.clean_set_size = len(teachers.final_selection)
-        elif cell.method == "ce_baseline":
-            student = train_student(noisy_train, val_set, train_cfg, test_set=test_set)
-            cell.student_metrics = student.metrics
-            cell.test_acc = student.metrics[student.best_epoch].test_accuracy
-            cell.clean_set_size = len(noisy_train)
-        else:
-            module = train_module(train_cfg, cell.method, noisy_train,
-                                  test_set=test_set, noise_mask=mask)
-            cell.teacher_metrics = module.metrics
-            cell.test_acc = module.metrics[-1].test_accuracy
-            cell.clean_set_size = len(module.final_selection)
+            student_metrics = student.metrics
+            test_acc = student_metrics[student.best_epoch].test_accuracy
+        # a cell that fails keeps none of its phases' results
+        cell.teacher_metrics, cell.student_metrics = teacher_metrics, student_metrics
+        cell.test_acc, cell.clean_set_size = test_acc, clean_set_size
         if mask.num_flipped == 0:  # nothing to find: define the metric as perfect
             cell.noisy_precision = 1.0
         elif cell.teacher_metrics:

@@ -12,17 +12,19 @@ module_kind picks the step:
 - coteachingplus: cross-update restricted to samples where the peers'
   argmax predictions disagree.
 
-train_teachers runs the joint-loss pair and the cross-update pair over a
-shared batch schedule and intersects their per-batch selections into the
-consensus clean set that feeds the student; train_module runs one pair
-through the same epoch loop. The two teacher pairs read nothing of each
+METHODS says what each method trains: its teacher pairs, the stream of
+their shared batch schedule, and whether a student learns from their
+consensus. train_teachers runs a method's pairs over that schedule and
+intersects their per-batch selections into the consensus clean set: for
+jocot, the joint-loss pair's and the cross-update pair's, which feeds the
+student; for a baseline, its one pair's. Pairs read nothing of each
 other, so each runs its whole epoch loop in its own forked child process
 while the caller waits; _in_children, the one runner of forked jobs, which
 experiment's grids use too, starts, windows and stops them. Each child
 pins its own OpenBLAS to one thread; the caller's count is never changed.
 A worker thread would gain little, since the GIL serialises most of a
 pair's many small numpy calls. Where _fork_workers allows no second
-process, both pairs step in the caller.
+process, and for a one-pair method, the pairs step in the caller.
 train_student fits plain cross-entropy on a trusted subset, checkpointed
 by validation accuracy. Every network trains in float32, as the compared
 methods' PyTorch models did; evaluate scores it in float64.
@@ -75,6 +77,17 @@ _ROLE_STUDENT_INIT = 3
 _ROLE_STUDENT_SHUFFLE = 4
 _ROLE_MODULE_INIT = 5
 _ROLE_MODULE_SHUFFLE = 6
+
+# what each method trains: (its teacher pairs, each a (module kind, init
+# role); the role of the pairs' shared batch schedule; whether a student
+# trains, on the pairs' consensus clean set, or on every sample if none)
+METHODS = {
+    "jocot": ((("jocor", _ROLE_TEACHER_F), ("coteaching", _ROLE_TEACHER_G)),
+              _ROLE_TEACHER_SHUFFLE, True),
+    **{kind: (((kind, _ROLE_MODULE_INIT),), _ROLE_MODULE_SHUFFLE, False)
+       for kind in ("coteaching", "coteachingplus", "jocor")},
+    "ce_baseline": ((), None, True),
+}
 
 # the dtype of every network init_teacher_state and train_student build
 _TRAIN_DTYPE = np.float32
@@ -270,16 +283,8 @@ class EpochMetrics:
 class TeachersResult:
     final_selection: SelectionSet
     metrics: List[EpochMetrics]
-    jocor_state: TeacherState
-    coteaching_state: TeacherState
+    states: List[TeacherState]
     epoch_clean_masks: List[np.ndarray]
-
-
-@dataclass
-class ModuleResult:
-    state: TeacherState
-    metrics: List[EpochMetrics]
-    final_selection: SelectionSet
 
 
 @dataclass
@@ -438,13 +443,13 @@ def _pair_epochs(config: TrainConfig, noisy_train: LabeledDataset, module_kind: 
 def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
                 shuffle_role: int, test_set: Optional[LabeledDataset],
                 noise_mask: Optional[NoiseMask]):
-    """The epoch loop of train_teachers and train_module: one _pair_epochs
-    per (module_kind, rng role) in init_roles, each over the same batch
-    schedule, then consensus, evaluation (test accuracy is the peer mean)
-    and metrics. The pairs share nothing but the schedule, so they run as
+    """The epoch loop of train_teachers: one _pair_epochs per (module_kind,
+    rng role) in init_roles, each over the same batch schedule, then
+    consensus, evaluation (test accuracy is the mean over every peer) and
+    metrics. The pairs share nothing but the schedule, so they run as
     _in_children jobs: each in its own forked child, on one OpenBLAS thread,
     where _fork_workers allows a process per pair, else all in the caller
-    (train_module's one pair always), with BLAS as it set it.
+    (a one-pair method's always), with BLAS as it set it.
     The batches partition the samples, so an epoch's clean mask, the union
     over batches of the per-batch consensus, is the AND of the pairs'
     inner-consensus masks. Returns the final states, the metrics and every
@@ -478,39 +483,25 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
     return [state for state, _ in pairs], metrics, clean_masks
 
 
-def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, *,
+def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, method: str = "jocot", *,
                    test_set: Optional[LabeledDataset] = None,
                    noise_mask: Optional[NoiseMask] = None) -> TeachersResult:
-    """Run both teacher modules over a shared batch schedule and return the
-    consensus clean set from the final epoch.
-
-    The joint-loss module and the cross-update module each own two peer
-    networks; per batch their four selections are intersected (inner, then
-    outer) and the final epoch's union becomes the student's training set.
-    """
-    (f_state, g_state), metrics, clean_masks = _run_epochs(
-        config, noisy_train, [("jocor", _ROLE_TEACHER_F), ("coteaching", _ROLE_TEACHER_G)],
-        _ROLE_TEACHER_SHUFFLE, test_set, noise_mask)
+    """Run the teacher pairs of ``method`` (a METHODS key) over a shared
+    batch schedule; ``states`` holds each pair's final state, in table order.
+    Per batch, every peer's selection is intersected (inner, then outer),
+    and the final epoch's union is the clean set, which must not be empty
+    where a student trains on it (jocot's)."""
+    pairs, shuffle_role, trains_student = METHODS.get(method, ((), None, False))
+    if not pairs:
+        raise ValueError(f"method {method!r} trains no teacher pair")
+    states, metrics, clean_masks = _run_epochs(config, noisy_train, pairs, shuffle_role,
+                                               test_set, noise_mask)
     final = SelectionSet(np.flatnonzero(clean_masks[-1]))
-    if len(final) == 0:
+    if trains_student and len(final) == 0:
         raise RuntimeError(
             "consensus clean set is empty; lower the noise rate or train "
             "the teachers for more epochs")
-    return TeachersResult(final, metrics, f_state, g_state, clean_masks)
-
-
-def train_module(config: TrainConfig, module_kind: str, noisy_train: LabeledDataset, *,
-                 test_set: Optional[LabeledDataset] = None,
-                 noise_mask: Optional[NoiseMask] = None) -> ModuleResult:
-    """Train one co-trained pair standalone (baseline methods).
-
-    The pair's claimed-clean set per epoch is the union over batches of the
-    two peers' selection intersection; test accuracy is the peer mean.
-    """
-    (state,), metrics, clean_masks = _run_epochs(
-        config, noisy_train, [(module_kind, _ROLE_MODULE_INIT)], _ROLE_MODULE_SHUFFLE,
-        test_set, noise_mask)
-    return ModuleResult(state, metrics, SelectionSet(np.flatnonzero(clean_masks[-1])))
+    return TeachersResult(final, metrics, states, clean_masks)
 
 
 def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,

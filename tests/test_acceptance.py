@@ -211,8 +211,8 @@ def test_05_consensus_laws():
                           decay_start_epoch=total - 1, hidden_dims=(16,),
                           noise_rate_tau=0.3, seed=9)
         teachers = train_teachers(cfg, noisy)
-        f_pairs = teachers.jocor_state.epoch_selections
-        g_pairs = teachers.coteaching_state.epoch_selections
+        f_pairs = teachers.states[0].epoch_selections
+        g_pairs = teachers.states[1].epoch_selections
         assert len(f_pairs) == len(g_pairs) > 0
         for (p1, p2), (q1, q2) in zip(f_pairs, g_pairs):
             composed = set(consensus((p1, p2), (q1, q2)).tolist())

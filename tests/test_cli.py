@@ -267,6 +267,34 @@ def test_run_bad_config_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,words", [
+    ("classes = 3", "classes = 1", "[data] 'classes' must be >= 2, got 1"),
+    ("per_class = 30", "per_class = 0", "[data] 'per_class' must be >= 1, got 0"),
+    ("dim = 4", "dim = 0", "[data] 'dim' must be >= 2, got 0"),
+    ("separation = 3.0", "separation = -1.0", "[data] 'separation' must be > 0, got -1.0"),
+    ("per_class = 30", "per_class = 4", "no sample in the val split: the data splits "
+                                        "into 9 train, 3 test and 0 val samples"),
+    ("per_class = 30", "per_class = 1", "no sample in the test or val split: the data "
+                                        "splits into 3 train, 0 test and 0 val samples"),
+], ids=["classes", "per_class", "dim", "separation", "empty_val", "empty_test"])
+def test_run_refuses_data_that_cannot_serve_every_cell(tmp_path, capsys, monkeypatch,
+                                                       old, new, words):
+    # each used to train every jocot cell and fail it, or exit naming no key
+    started = []
+    monkeypatch.setattr(experiment, "_inject", lambda *args: started.append(args))
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace(old, new).replace("ce_baseline", "jocot"))
+    assert main(["run", "--config", str(path)]) == 2
+    assert words in capsys.readouterr().err
+    assert started == [] and not (tmp_path / "results").exists()
+
+
+def test_a_method_without_a_student_needs_no_val_split(tmp_path):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("per_class = 30", "per_class = 4"))
+    assert main(["run", "--config", str(path), "--method", "coteaching"]) == 0
+
+
 def test_run_missing_config_exit_two(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.ini")])
     assert code == 2

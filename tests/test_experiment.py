@@ -23,7 +23,8 @@ from jocot.experiment import (
     load_result,
     run_experiment,
 )
-from jocot.training import EpochMetrics
+from jocot.data import LabeledDataset
+from jocot.training import EpochMetrics, train_teachers
 
 TINY_SYNTH = SyntheticSpec(num_classes=3, per_class=30, dim=4, separation=3.0, seed=0)
 TINY_TRAIN = {"total_epochs": 4, "decay_start_epoch": 3, "batch_size": 16,
@@ -153,7 +154,12 @@ def test_load_config_rejects_values_it_would_coerce(tmp_path, section, line, key
     (lambda: ExperimentConfig(rebalance_per_class=0), "rebalance_per_class"),
     (lambda: SyntheticSpec(per_class=30.5), "per_class"),
     (lambda: SyntheticSpec(seed=-1), "seed"),
-], ids=["split_seed", "rebalance_per_class", "per_class", "data_seed"])
+    (lambda: SyntheticSpec(num_classes=1), "num_classes"),
+    (lambda: SyntheticSpec(per_class=0), "per_class"),
+    (lambda: SyntheticSpec(dim=1), "dim"),
+    (lambda: SyntheticSpec(separation=0.0), "separation"),
+], ids=["split_seed", "rebalance_per_class", "per_class", "data_seed", "classes",
+        "per_class_zero", "dim", "separation"])
 def test_config_dataclasses_check_values_when_built(make, name):
     # each used to be checked only when read from a file, so a direct
     # construction was accepted and failed later, or never
@@ -228,6 +234,20 @@ def test_run_experiment_jocot_cell_contents():
     assert 0.0 <= cell.noisy_precision <= 1.0
     assert all(m.val_accuracy is not None for m in cell.student_metrics)
     assert all(m.remember_rate is not None for m in cell.teacher_metrics)
+
+
+@pytest.mark.parametrize("method", ["coteaching", "coteachingplus", "jocor"])
+def test_a_baseline_cell_is_its_one_pair(method):
+    cfg = tiny_config(method=method)
+    cell = run_experiment(cfg).cells[0]
+    assert cell.succeeded and cell.teacher_metrics and cell.student_metrics == []
+    assert cell.test_acc == cell.teacher_metrics[-1].test_accuracy
+    train_set, test_set, _ = experiment._prepare_splits(cfg)
+    train_cfg, mask = experiment._inject(cell, train_set, cfg)
+    noisy = LabeledDataset(train_set.features, mask.noisy_labels, train_set.num_classes)
+    teachers = train_teachers(train_cfg, noisy, method, test_set=test_set, noise_mask=mask)
+    assert cell.clean_set_size == len(teachers.final_selection)
+    assert cell.teacher_metrics == teachers.metrics
 
 
 def test_run_experiment_empty_grid():

@@ -38,7 +38,6 @@ from jocot.training import (
     init_teacher_state,
     make_batches,
     pair_epoch,
-    train_module,
     train_student,
     train_teachers,
 )
@@ -385,8 +384,8 @@ def test_train_teachers_consensus_subset_of_components():
     ds = synthesize(3, 20, dim=4, separation=2.0, seed=12)
     cfg = small_cfg(noise_rate_tau=0.4, seed=3)
     result = train_teachers(cfg, ds)
-    f_sels = result.jocor_state.epoch_selections
-    g_sels = result.coteaching_state.epoch_selections
+    assert [state.module_kind for state in result.states] == ["jocor", "coteaching"]
+    f_sels, g_sels = (state.epoch_selections for state in result.states)
     last_clean = set(np.flatnonzero(result.epoch_clean_masks[-1]).tolist())
     per_batch_union = set()
     for (p1, p2), (q1, q2) in zip(f_sels, g_sels):
@@ -418,8 +417,8 @@ def test_train_teachers_deterministic():
     a = train_teachers(cfg, ds)
     b = train_teachers(cfg, ds)
     assert a.final_selection == b.final_selection
-    for name in ("jocor_state", "coteaching_state"):
-        npt.assert_array_equal(getattr(a, name).params.flat, getattr(b, name).params.flat)
+    for sa, sb in zip(a.states, b.states):
+        npt.assert_array_equal(sa.params.flat, sb.params.flat)
 
 
 def test_train_teachers_empty_consensus_raises(monkeypatch):
@@ -448,8 +447,7 @@ def test_train_teachers_per_batch_consensus_equals_per_epoch():
     # batch, so the union over batches of (A_b & B_b) is (U A_b) & (U B_b)
     ds = synthesize(3, 20, dim=4, separation=2.0, seed=17)
     result = train_teachers(small_cfg(noise_rate_tau=0.4), ds)
-    f_sels = result.jocor_state.epoch_selections
-    g_sels = result.coteaching_state.epoch_selections
+    f_sels, g_sels = (state.epoch_selections for state in result.states)
     i_p = set().union(*[(set(p1.tolist()) & set(p2.tolist())) for p1, p2 in f_sels])
     i_q = set().union(*[(set(q1.tolist()) & set(q2.tolist())) for q1, q2 in g_sels])
     assert set(np.flatnonzero(result.epoch_clean_masks[-1]).tolist()) == (i_p & i_q)
@@ -547,8 +545,7 @@ def test_train_teachers_concurrent_equals_inline(monkeypatch, fake_blas, two_cpu
     assert len(concurrent.epoch_clean_masks) == len(inline.epoch_clean_masks) == 5
     for a, b in zip(concurrent.epoch_clean_masks, inline.epoch_clean_masks):
         npt.assert_array_equal(a, b)
-    for name in ("jocor_state", "coteaching_state"):
-        sa, sb = getattr(concurrent, name), getattr(inline, name)
+    for sa, sb in zip(concurrent.states, inline.states):
         assert sa.mean_selected_loss == sb.mean_selected_loss
         for pa, pb in zip(sa.epoch_selections, sb.epoch_selections):
             npt.assert_array_equal(pa, pb)
@@ -708,10 +705,11 @@ def test_a_daemon_process_forks_no_child(monkeypatch, fake_blas, two_cpus):
     assert len(result.metrics) == 5
 
 
-def test_train_module_leaves_blas_and_threads_alone(monkeypatch, fake_blas, two_cpus, tmp_path):
+def test_a_one_pair_method_leaves_blas_and_threads_alone(monkeypatch, fake_blas, two_cpus,
+                                                        tmp_path):
     calls = record_pair_calls(monkeypatch, tmp_path / "calls")
     noisy, _, _ = noisy_teacher_task()
-    train_module(small_cfg(noise_rate_tau=0.4), "coteaching", noisy)
+    train_teachers(small_cfg(noise_rate_tau=0.4), noisy, "coteaching")
     assert pids_by_kind(calls()) == {"coteaching": {os.getpid()}}
     assert fake_blas == []
 
@@ -775,7 +773,7 @@ result = training.train_teachers(cfg, noisy, test_set=ds, noise_mask=mask)
 digest = hashlib.sha256(repr(result.metrics).encode())
 for mask_ in result.epoch_clean_masks:
     digest.update(mask_.tobytes())
-for state in (result.jocor_state, result.coteaching_state):
+for state in result.states:
     for p in range(2):
         for array in (state.params.flat[p], state.opt.m[p], state.opt.v[p]):
             digest.update(array.tobytes())
@@ -796,22 +794,35 @@ def test_teacher_outputs_ignore_the_blas_thread_count():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
-def test_train_module_runs_all_kinds():
+def test_train_teachers_runs_each_baseline_pair():
     ds = synthesize(3, 20, dim=4, separation=2.0, seed=18)
     mask = inject_noise(ds.labels, build_noise_matrix("pairflip", 0.2, 3), seed=19)
     noisy = LabeledDataset(ds.features, mask.noisy_labels, 3)
     for kind in ["coteaching", "jocor", "coteachingplus"]:
-        result = train_module(small_cfg(noise_rate_tau=0.2), kind, noisy,
-                              noise_mask=mask)
+        result = train_teachers(small_cfg(noise_rate_tau=0.2), noisy, kind,
+                                noise_mask=mask)
         assert len(result.metrics) == 5
         assert len(result.final_selection) >= 1
-        assert result.state.module_kind == kind
+        assert [state.module_kind for state in result.states] == [kind]
 
 
-def test_train_module_rejects_unknown_kind():
+@pytest.mark.parametrize("method", ["ce_baseline", "bagging"])
+def test_train_teachers_rejects_a_method_without_pairs(method):
     ds = planted_dataset()
-    with pytest.raises(ValueError, match="module_kind"):
-        train_module(small_cfg(), "bagging", ds)
+    with pytest.raises(ValueError, match=f"method '{method}'"):
+        train_teachers(small_cfg(), ds, method)
+
+
+def test_a_baseline_pair_may_claim_no_sample_clean(monkeypatch):
+    # only a student needs a clean set: a baseline pair whose peers agree on
+    # no sample reports an empty one
+    def disjoint_epoch(state, *args, **kwargs):
+        picks = np.stack([np.arange(0, 8, 2), np.arange(1, 8, 2)])
+        return TeacherState(state.module_kind, state.params, state.opt, [picks], 0.0)
+
+    monkeypatch.setattr(training, "pair_epoch", disjoint_epoch)
+    result = train_teachers(small_cfg(), planted_dataset(), "coteaching")
+    assert len(result.final_selection) == 0
 
 
 def test_one_forward_pass_per_network_per_batch(monkeypatch):
@@ -951,7 +962,7 @@ def test_training_builds_float32_networks(monkeypatch):
     teachers = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
     student = train_student(noisy, test, cfg, test_set=test)
     assert seen == {np.dtype(np.float32)}
-    states = [teachers.jocor_state, teachers.coteaching_state]
+    states = teachers.states
     assert {a.dtype for s in states for a in (s.params.flat, s.opt.m, s.opt.v)} \
         == {np.dtype(np.float32)}
     assert student.params.flat.dtype == np.float32
