@@ -7,6 +7,7 @@ import argparse
 import signal
 import sys
 import threading
+from dataclasses import fields
 
 from .data import save_csv, synthesize
 from .experiment import (
@@ -14,11 +15,13 @@ from .experiment import (
     METHODS,
     NOISE_KINDS,
     ExperimentResult,
+    SyntheticSpec,
     emit_metrics,
     load_config,
     load_result,
     run_experiment,
 )
+from .network import FieldError
 from .training import _exit_on_sigterm
 
 
@@ -53,12 +56,20 @@ def _cmd_run(args) -> int:
     return 0 if result.all_succeeded else 1
 
 
+# the synth flag that sets each SyntheticSpec field
+_SYNTH_FLAGS = {"num_classes": "--classes", "per_class": "--per-class", "dim": "--dim",
+                "separation": "--separation", "seed": "--seed"}
+
+
 def _cmd_synth(args) -> int:
-    dataset = synthesize(args.classes, args.per_class, args.dim,
-                         args.separation, args.seed)
+    try:
+        spec = SyntheticSpec(**{name: getattr(args, name) for name in _SYNTH_FLAGS})
+    except FieldError as exc:
+        raise ValueError(f"{_SYNTH_FLAGS[exc.field]} {exc.problem}") from None
+    dataset = synthesize(spec.num_classes, spec.per_class, spec.dim, spec.separation, spec.seed)
     save_csv(dataset, args.out)
-    print(f"wrote {len(dataset)} samples ({args.classes} classes, "
-          f"dim {args.dim}) to {args.out}")
+    print(f"wrote {len(dataset)} samples ({spec.num_classes} classes, "
+          f"dim {spec.dim}) to {args.out}")
     return 0
 
 
@@ -88,11 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     synth_p = sub.add_parser("synth", help="write a synthetic dataset CSV")
-    synth_p.add_argument("--classes", type=int, default=12)
-    synth_p.add_argument("--per-class", type=int, default=600, dest="per_class")
-    synth_p.add_argument("--dim", type=int, default=51)
-    synth_p.add_argument("--separation", type=float, default=3.0)
-    synth_p.add_argument("--seed", type=int, default=0)
+    for f in fields(SyntheticSpec):  # its defaults are the spec's
+        synth_p.add_argument(_SYNTH_FLAGS[f.name], type=type(f.default), default=f.default,
+                             dest=f.name)
     synth_p.add_argument("--out", required=True)
     synth_p.set_defaults(func=_cmd_synth)
 

@@ -74,7 +74,7 @@ class ExperimentConfig:
     train_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_fields(self, split_seed=0, rebalance_per_class=1)
+        _check_fields(self, seeds=0, split_seed=0, rebalance_per_class=1)
         if self.method not in METHODS:
             raise FieldError("method", f"must be one of {tuple(METHODS)}, got {self.method!r}")
         if self.noise_kind not in NOISE_KINDS:
@@ -256,6 +256,9 @@ def _prepare_splits(config: ExperimentConfig):
         dataset = synthesize(s.num_classes, s.per_class, s.dim, s.separation, s.seed)
     if config.rebalance_per_class is not None:
         dataset = rebalance(dataset, config.rebalance_per_class, config.split_seed)
+    # no noise matrix flips labels among fewer than two classes
+    if dataset.num_classes < 2:
+        raise ValueError(f"need at least 2 classes for label noise, got {dataset.num_classes}")
     train, test, val = split(dataset, SplitSpec(seed=config.split_seed))
     # a split left empty would fail every cell after training; only a
     # student reads the validation split
@@ -331,34 +334,29 @@ def run_experiment(config: ExperimentConfig,
     """Run every (rate, seed) cell of the configured method.
 
     The splits and every cell's label noise are made in this process, in
-    grid order. The cells then train as training._in_children jobs, each in
-    a forked child when more than one fits the usable CPUs, else one after
-    the other here; the results are the same either way. Cell
-    failures, a child process that dies included, are recorded in the
-    per-cell error field; remaining cells still run.
+    grid order; a config that passes its checks gives data that serves
+    every cell, so an error here is raised. The cells then train as
+    training._in_children jobs, one per cell, each in a forked child when
+    more than one fits the usable CPUs, else one after the other here; the
+    results are the same either way. Training failures, a child process
+    that dies included, are recorded in the per-cell error field; remaining
+    cells still run.
     ``progress`` is an optional callable fed one line per completed cell,
     in grid order.
     """
     splits = _prepare_splits(config)
-    cells, jobs = [], []
-    for rate in config.rates:
-        for seed in config.seeds:
-            cell = CellResult(config.method, config.noise_kind, rate, seed)
-            try:
-                jobs.append((cell, *_inject(cell, splits[0], config), splits))
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                cell.error = _error(exc)
-            cells.append(cell)
+    cells = [CellResult(config.method, config.noise_kind, rate, seed)
+             for rate in config.rates for seed in config.seeds]
+    jobs = [(cell, *_inject(cell, splits[0], config), splits) for cell in cells]
     # closing terminates the cells in training also when progress raises
     with closing(_in_children("jocot-cell", _train, jobs)) as calls:
-        for i, cell in enumerate(cells):
-            if cell.error is None:  # its noise is injected, so it has a job
-                get = next(calls)
-                try:
-                    cells[i] = cell = get()
-                except Exception as exc:  # noqa: BLE001 - a dead child fails its own cell only
-                    cell.error = _error(exc)
+        for i, get in enumerate(calls):
+            try:
+                cells[i] = get()
+            except Exception as exc:  # noqa: BLE001 - a dead child fails its own cell only
+                cells[i].error = _error(exc)
             if progress is not None:
+                cell = cells[i]
                 status = "ok" if cell.succeeded else f"FAILED ({cell.error})"
                 acc = ("" if cell.test_acc is None
                        else f" test_acc={100 * cell.test_acc:.2f}%")

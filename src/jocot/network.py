@@ -114,7 +114,7 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (256, 128)
 
     def __post_init__(self) -> None:
-        _check_fields(self, batch_size=1, total_epochs=1, num_gradual_T=1, hidden_dims=1)
+        _check_fields(self, batch_size=1, total_epochs=1, num_gradual_T=1, seed=0, hidden_dims=1)
         if not 0 < self.decay_start_epoch < self.total_epochs:
             raise FieldError("decay_start_epoch", "must lie strictly between 0 and total_epochs")
         if not 0.05 <= self.lambda_weight <= 0.95:

@@ -18,9 +18,10 @@ consensus. train_teachers runs a method's pairs over that schedule and
 intersects their per-batch selections into the consensus clean set: for
 jocot, the joint-loss pair's and the cross-update pair's, which feeds the
 student; for a baseline, its one pair's. Pairs read nothing of each
-other, so each runs its whole epoch loop in its own forked child process
-while the caller waits; _in_children, the one runner of forked jobs, which
-experiment's grids use too, starts, windows and stops them. Each child
+other, so each pair's whole epoch loop is one job of _in_children, the
+one runner of forked jobs, which experiment's grids use too and which
+starts, windows and stops each job's forked child while the caller waits;
+train_teachers reads the jobs in one loop and ANDs the pairs' masks. Each child
 pins its own OpenBLAS to one thread; the caller's count is never changed.
 A worker thread would gain little, since the GIL serialises most of a
 pair's many small numpy calls. Where _fork_workers allows no second
@@ -440,29 +441,33 @@ def _pair_epochs(config: TrainConfig, noisy_train: LabeledDataset, module_kind: 
     return state, epochs
 
 
-def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
-                shuffle_role: int, test_set: Optional[LabeledDataset],
-                noise_mask: Optional[NoiseMask]):
-    """The epoch loop of train_teachers: one _pair_epochs per (module_kind,
-    rng role) in init_roles, each over the same batch schedule, then
-    consensus, evaluation (test accuracy is the mean over every peer) and
-    metrics. The pairs share nothing but the schedule, so they run as
-    _in_children jobs: each in its own forked child, on one OpenBLAS thread,
-    where _fork_workers allows a process per pair, else all in the caller
-    (a one-pair method's always), with BLAS as it set it.
+def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, method: str = "jocot", *,
+                   test_set: Optional[LabeledDataset] = None,
+                   noise_mask: Optional[NoiseMask] = None) -> TeachersResult:
+    """Run the teacher pairs of ``method`` (a METHODS key), one _pair_epochs
+    per (module_kind, init role) of its row, each over the same batch
+    schedule, then consensus, evaluation (test accuracy is the mean over
+    every peer) and metrics. The pairs share nothing but the schedule, so
+    they run as _in_children jobs: each in its own forked child, on one
+    OpenBLAS thread, where _fork_workers allows a process per pair, else all
+    in the caller (a one-pair method's always), with BLAS as it set it.
     The batches partition the samples, so an epoch's clean mask, the union
-    over batches of the per-batch consensus, is the AND of the pairs'
-    inner-consensus masks. Returns the final states, the metrics and every
-    epoch's clean mask."""
+    over batches of the per-batch consensus (inner, then outer), is the AND
+    of the pairs' inner-consensus masks. ``states`` holds each pair's final
+    state, in table order; the final epoch's clean set must not be empty
+    where a student trains on it (jocot's)."""
+    pairs, shuffle_role, trains_student = METHODS.get(method, ((), None, False))
+    if not pairs:
+        raise ValueError(f"method {method!r} trains no teacher pair")
     if len(noisy_train) == 0:
         raise ValueError("noisy_train is empty")
     run = functools.partial(_pair_epochs, config, noisy_train,
                             shuffle_role=shuffle_role, test_set=test_set)
-    with closing(_in_children("jocot-pair", run, init_roles)) as calls:
-        pairs = [get() for get in calls]
+    with closing(_in_children("jocot-pair", run, pairs)) as calls:
+        results = [get() for get in calls]
     metrics: List[EpochMetrics] = []
     clean_masks: List[np.ndarray] = []
-    for epoch, per_pair in enumerate(zip(*(epochs for _, epochs in pairs))):
+    for epoch, per_pair in enumerate(zip(*(epochs for _, epochs in results))):
         clean = functools.reduce(np.logical_and, [inner for inner, _, _ in per_pair])
         clean_masks.append(clean)
         precision = None
@@ -480,28 +485,12 @@ def _run_epochs(config: TrainConfig, noisy_train: LabeledDataset, init_roles,
             mean_selected_loss=float(np.mean(msl_parts)) if msl_parts else None,
             lr=lr_at(epoch, config),
         ))
-    return [state for state, _ in pairs], metrics, clean_masks
-
-
-def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, method: str = "jocot", *,
-                   test_set: Optional[LabeledDataset] = None,
-                   noise_mask: Optional[NoiseMask] = None) -> TeachersResult:
-    """Run the teacher pairs of ``method`` (a METHODS key) over a shared
-    batch schedule; ``states`` holds each pair's final state, in table order.
-    Per batch, every peer's selection is intersected (inner, then outer),
-    and the final epoch's union is the clean set, which must not be empty
-    where a student trains on it (jocot's)."""
-    pairs, shuffle_role, trains_student = METHODS.get(method, ((), None, False))
-    if not pairs:
-        raise ValueError(f"method {method!r} trains no teacher pair")
-    states, metrics, clean_masks = _run_epochs(config, noisy_train, pairs, shuffle_role,
-                                               test_set, noise_mask)
     final = SelectionSet(np.flatnonzero(clean_masks[-1]))
     if trains_student and len(final) == 0:
         raise RuntimeError(
             "consensus clean set is empty; lower the noise rate or train "
             "the teachers for more epochs")
-    return TeachersResult(final, metrics, states, clean_masks)
+    return TeachersResult(final, metrics, [state for state, _ in results], clean_masks)
 
 
 def train_student(clean_train: LabeledDataset, clean_val: LabeledDataset,

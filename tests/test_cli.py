@@ -53,6 +53,21 @@ def test_synth_writes_loadable_csv(tmp_path, capsys):
     assert "15 samples" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag,value,words", [
+    ("--classes", "1", "--classes must be >= 2, got 1"),
+    ("--per-class", "0", "--per-class must be >= 1, got 0"),
+    ("--dim", "1", "--dim must be >= 2, got 1"),
+    ("--separation", "0", "--separation must be > 0, got 0.0"),
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+], ids=["classes", "per_class", "dim", "separation", "seed"])
+def test_synth_names_the_flag_of_a_bad_value(tmp_path, capsys, flag, value, words):
+    # synth used to pass its flags straight to synthesize, whose errors name no flag
+    out = tmp_path / "data.csv"
+    assert main(["synth", flag, value, "--out", str(out)]) == 2
+    assert f"error: {words}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_end_to_end(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["run", "--config", str(config)])
@@ -267,24 +282,34 @@ def test_run_bad_config_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old,new,words", [
-    ("classes = 3", "classes = 1", "[data] 'classes' must be >= 2, got 1"),
-    ("per_class = 30", "per_class = 0", "[data] 'per_class' must be >= 1, got 0"),
-    ("dim = 4", "dim = 0", "[data] 'dim' must be >= 2, got 0"),
-    ("separation = 3.0", "separation = -1.0", "[data] 'separation' must be > 0, got -1.0"),
-    ("per_class = 30", "per_class = 4", "no sample in the val split: the data splits "
-                                        "into 9 train, 3 test and 0 val samples"),
-    ("per_class = 30", "per_class = 1", "no sample in the test or val split: the data "
-                                        "splits into 3 train, 0 test and 0 val samples"),
-], ids=["classes", "per_class", "dim", "separation", "empty_val", "empty_test"])
+@pytest.mark.parametrize("old,new,flags,words", [
+    ("classes = 3", "classes = 1", [], "[data] 'classes' must be >= 2, got 1"),
+    ("per_class = 30", "per_class = 0", [], "[data] 'per_class' must be >= 1, got 0"),
+    ("dim = 4", "dim = 0", [], "[data] 'dim' must be >= 2, got 0"),
+    ("separation = 3.0", "separation = -1.0", [],
+     "[data] 'separation' must be > 0, got -1.0"),
+    ("per_class = 30", "per_class = 4", [], "no sample in the val split: the data splits "
+                                            "into 9 train, 3 test and 0 val samples"),
+    ("per_class = 30", "per_class = 1", [], "no sample in the test or val split: the data "
+                                            "splits into 3 train, 0 test and 0 val samples"),
+    ("seeds = 1", "seeds = -1,2", [], "[experiment] 'seeds' must be >= 0, got (-1, 2)"),
+    ("", "", ["--seeds", "-1"], "--seeds must be >= 0, got (-1,)"),
+    ("classes = 3\nper_class = 30\ndim = 4\nseparation = 3.0", "csv = {one_class_csv}", [],
+     "need at least 2 classes for label noise, got 1"),
+], ids=["classes", "per_class", "dim", "separation", "empty_val", "empty_test",
+        "negative_seed", "negative_seed_flag", "one_class"])
 def test_run_refuses_data_that_cannot_serve_every_cell(tmp_path, capsys, monkeypatch,
-                                                       old, new, words):
-    # each used to train every jocot cell and fail it, or exit naming no key
+                                                       old, new, flags, words):
+    # each used to train every jocot cell and fail it, or exit naming no key;
+    # a negative seed or one class used to fail every cell's noise injection
     started = []
     monkeypatch.setattr(experiment, "_inject", lambda *args: started.append(args))
+    one_class_csv = tmp_path / "one_class.csv"
+    one_class_csv.write_text("f0,f1,label\n" + "0.5,1.5,1\n" * 30)
     path = write_config(tmp_path)
-    path.write_text(path.read_text().replace(old, new).replace("ce_baseline", "jocot"))
-    assert main(["run", "--config", str(path)]) == 2
+    text = path.read_text().replace(old, new.format(one_class_csv=one_class_csv))
+    path.write_text(text.replace("ce_baseline", "jocot"))
+    assert main(["run", "--config", str(path), *flags]) == 2
     assert words in capsys.readouterr().err
     assert started == [] and not (tmp_path / "results").exists()
 

@@ -24,6 +24,7 @@ from jocot.experiment import (
     run_experiment,
 )
 from jocot.data import LabeledDataset
+from jocot.network import FieldError
 from jocot.training import EpochMetrics, train_teachers
 
 TINY_SYNTH = SyntheticSpec(num_classes=3, per_class=30, dim=4, separation=3.0, seed=0)
@@ -61,6 +62,9 @@ def test_config_validation():
         tiny_config(rates=(1.0,))
     with pytest.raises(ValueError, match="seed"):
         tiny_config(seeds=())
+    # a negative seed used to pass, then fail every cell's noise injection
+    with pytest.raises(FieldError, match="seeds must be >= 0"):
+        tiny_config(seeds=(-1, 2))
     with pytest.raises(ValueError, match="train settings"):
         tiny_config(train_overrides={"warmup": 5})
 

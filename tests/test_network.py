@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from jocot.network import (
+    FieldError,
     ModelParams,
     OptimizerState,
     TrainConfig,
@@ -278,6 +279,9 @@ def test_train_config_validation():
         TrainConfig(noise_rate_tau=1.0)
     with pytest.raises(ValueError):
         TrainConfig(hidden_dims=(0,))
+    # a negative seed used to fail inside training, in numpy's SeedSequence
+    with pytest.raises(FieldError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
 
 
 @pytest.mark.parametrize("key,value", [
