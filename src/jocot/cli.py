@@ -4,9 +4,7 @@ inspect result files."""
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
-import threading
 from dataclasses import fields
 
 from .data import save_csv, synthesize
@@ -21,8 +19,8 @@ from .experiment import (
     load_result,
     run_experiment,
 )
+from .jobs import _signals_unwind
 from .network import FieldError
-from .training import _exit_on_sigterm
 
 
 def _pct(value) -> str:
@@ -113,20 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # a SIGTERM unwinds the command as a Ctrl-C does, so a grid stops the
-    # cell processes it forked; only the main thread may set a handler, and
-    # the caller's is put back, since tests and scripts call main in-process
-    in_main = threading.current_thread() is threading.main_thread()
-    if in_main:
-        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    # a SIGTERM unwinds the command as a Ctrl-C does, so a command stops the
+    # processes it forked; the caller's handlers are put back, since tests
+    # and scripts call main in-process
     try:
-        return args.func(args)
+        with _signals_unwind():
+            return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if in_main:
-            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -5,18 +5,41 @@ one sample per row, decimal feature values, integer label (1-based files
 are re-indexed to 0-based on load). The canonical skeleton layout has 51
 features (17 landmarks x 3 values); the width of a file is taken from
 its header.
+
+save_csv and load_csv cut a CSV into contiguous ranges of rows, or of
+whole lines, and run each as a job of jobs._in_children, so a large file is
+formatted or parsed on every usable CPU; a file under _CSV_JOB_BYTES is one
+job in the caller. The bytes written and the arrays and errors read are the
+same for any cut.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
+import shutil
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import jobs
+
 CANONICAL_FEATURES = 51
+
+# a save_csv or load_csv of fewer bytes than this (of features to format,
+# or of body text to parse) is one job in the caller, since a fork costs
+# more than it saves; a larger one gets one job per this many bytes, at
+# most one per worker that jobs._fork_workers allows
+_CSV_JOB_BYTES = 1 << 20
+
+# the block in which a cut is searched for and a part file is copied
+_SCAN_BYTES = 1 << 16
+
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 @dataclass
@@ -120,41 +143,146 @@ def _raise_first_bad_line(path, d: int):
     raise ValueError(f"{path}: malformed CSV body")
 
 
+def _line_end(fh, pos: int) -> int:
+    """The offset just past the first line terminator (\\n, \\r\\n taken as
+    one, or a bare \\r) at or after byte ``pos`` of the binary file ``fh``,
+    or the file's size if none follows."""
+    fh.seek(pos)
+    while chunk := fh.read(_SCAN_BYTES):
+        found = _LINE_END.search(chunk)
+        if found:
+            end = pos + found.end()
+            if found.group() == b"\r" and found.end() == len(chunk):
+                end += fh.read(1) == b"\n"  # a \r\n split across two reads
+            return end
+        pos += len(chunk)
+    return pos
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, stop) of the file at ``path``, as a stream."""
+
+    def __init__(self, path, start: int, stop: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._file.readinto(memoryview(buffer)[:self._left])
+        self._left -= count
+        return count
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _parse_range(path, d: int, start: int, stop: int):
+    """One load_csv job: the whole lines in bytes [start, stop) of the
+    file, read as a stream, decoded as open decodes them and parsed as the
+    text a newline="" handle returns. Returns their rows, or None if a line
+    does not parse or a feature is not finite."""
+    with io.TextIOWrapper(_ByteRange(path, start, stop), newline="") as text:
+        try:
+            rows = _parse_rows(text, d)
+        except _PARSE_ERRORS:
+            return None
+    return rows if np.isfinite(rows["features"]).all() else None
+
+
+def _load_ranges(path, d: int, bounds):
+    """The features and labels of the body between consecutive offsets of
+    ``bounds``, one _parse_range job each, or None if any job finds a bad
+    line. The jobs' rows are joined in order once all have answered."""
+    parts = []
+    with closing(jobs._in_children("jocot-csv", _parse_range,
+                                   [(path, d, a, b) for a, b in zip(bounds, bounds[1:])])) as calls:
+        for get in calls:
+            rows = get()
+            if rows is None:
+                return None
+            parts.append(rows)
+    return (np.concatenate([rows["features"] for rows in parts]),
+            np.concatenate([rows["label"] for rows in parts]))
+
+
 def load_csv(path) -> LabeledDataset:
     """Parse a feature CSV; errors carry the offending line number.
 
     The width is taken from the header. Files labeled 1..M are shifted to
-    0..M-1, detected by the absence of label 0.
+    0..M-1, detected by the absence of label 0. The body is cut after line
+    terminators into one contiguous job per worker that jobs._fork_workers
+    allows, at most one per _CSV_JOB_BYTES of it; the arrays are the same for
+    any cut. A quoted field may hold a line terminator, so a cut body that
+    does not parse is parsed again whole; only if that fails too is it read
+    line by line, to name the first bad line.
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        d = _parse_header(next(csv.reader(fh), None), path)
-        try:
-            rows = _parse_rows(fh, d)
-        except _PARSE_ERRORS:
-            rows = None
-    if rows is None or not np.isfinite(rows["features"]).all():
+        reader = csv.reader(fh)
+        d = _parse_header(next(reader, None), path)
+        start, size = 0, path.stat().st_size
+        for _ in range(reader.line_num):  # the body starts after the header's lines
+            start = _line_end(fh.buffer, start)
+        count = jobs._fork_workers((size - start) // _CSV_JOB_BYTES)
+        cuts = {_line_end(fh.buffer, start + (size - start) * i // count)
+                for i in range(1, count)}
+    bounds = [start, *sorted(cuts - {size}), size]
+    loaded = _load_ranges(path, d, bounds)
+    if loaded is None and len(bounds) > 2:
+        loaded = _load_ranges(path, d, [start, size])
+    if loaded is None:
         _raise_first_bad_line(path, d)
-    if not rows.size:
+    features, labels = loaded
+    if not labels.size:
         raise ValueError(f"{path}: no data rows")
-    labels = np.ascontiguousarray(rows["label"])
     if labels.min() < 0:
         raise ValueError(f"{path}: negative labels")
     if labels.min() >= 1:
         labels = labels - 1  # 1-based file
-    return LabeledDataset(np.ascontiguousarray(rows["features"]), labels,
-                          int(labels.max()) + 1)
+    return LabeledDataset(features, labels, int(labels.max()) + 1)
+
+
+def _write_rows(dataset: LabeledDataset, path, mode: str, start: int, stop: int) -> None:
+    """One save_csv job: rows [start, stop) of the dataset to ``path``,
+    opened in ``mode``, each formatted on its own."""
+    with open(path, mode, newline="") as fh:
+        fh.writelines(",".join(map(repr, row.tolist())) + f",{label}\n"
+                      for row, label in zip(dataset.features[start:stop],
+                                            dataset.labels[start:stop].tolist()))
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
     """Write the dataset in the load_csv schema; floats via repr so a
     save/load round trip is bitwise exact. Rows are formatted one at a
-    time, so no Python float outlives its row."""
-    d = dataset.feature_dim
+    time, so no Python float outlives its row. They are cut into one
+    contiguous job per worker that jobs._fork_workers allows, at most one
+    per _CSV_JOB_BYTES of features: the first job appends its rows to the
+    header, each later one writes a part file beside ``path``, and the parts
+    are appended in order, so the bytes are the same for any cut. No part
+    file outlives the call."""
+    path = Path(path)
+    n, d = dataset.features.shape
+    count = jobs._fork_workers(dataset.features.nbytes // _CSV_JOB_BYTES)
+    targets = [path] + [path.with_name(f"{path.name}.{i}.part") for i in range(1, count)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
-        fh.writelines(",".join(map(repr, row.tolist())) + f",{label}\n"
-                      for row, label in zip(dataset.features, dataset.labels.tolist()))
+    writes = [(dataset, target, "w" if i else "a", n * i // count, n * (i + 1) // count)
+              for i, target in enumerate(targets)]
+    try:
+        with closing(jobs._in_children("jocot-csv", _write_rows, writes)) as calls:
+            for get in calls:
+                get()
+        with open(path, "ab") as out:
+            for part in targets[1:]:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out, _SCAN_BYTES)
+    finally:
+        for part in targets[1:]:
+            part.unlink(missing_ok=True)
 
 
 def rebalance(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:

@@ -29,12 +29,12 @@ from .data import (
     split,
     synthesize,
 )
+from .jobs import _in_children
 from .network import FieldError, TrainConfig, _check_fields
 from .noise import NOISE_KINDS, build_noise_matrix, inject_noise
 from .training import (
     METHODS,
     EpochMetrics,
-    _in_children,
     train_student,
     train_teachers,
 )
@@ -336,7 +336,7 @@ def run_experiment(config: ExperimentConfig,
     The splits and every cell's label noise are made in this process, in
     grid order; a config that passes its checks gives data that serves
     every cell, so an error here is raised. The cells then train as
-    training._in_children jobs, one per cell, each in a forked child when
+    jobs._in_children jobs, one per cell, each in a forked child when
     more than one fits the usable CPUs, else one after the other here; the
     results are the same either way. Training failures, a child process
     that dies included, are recorded in the per-cell error field; remaining

@@ -18,14 +18,14 @@ consensus. train_teachers runs a method's pairs over that schedule and
 intersects their per-batch selections into the consensus clean set: for
 jocot, the joint-loss pair's and the cross-update pair's, which feeds the
 student; for a baseline, its one pair's. Pairs read nothing of each
-other, so each pair's whole epoch loop is one job of _in_children, the
-one runner of forked jobs, which experiment's grids use too and which
-starts, windows and stops each job's forked child while the caller waits;
-train_teachers reads the jobs in one loop and ANDs the pairs' masks. Each child
-pins its own OpenBLAS to one thread; the caller's count is never changed.
-A worker thread would gain little, since the GIL serialises most of a
-pair's many small numpy calls. Where _fork_workers allows no second
-process, and for a one-pair method, the pairs step in the caller.
+other, so each pair's whole epoch loop is one job of jobs._in_children,
+the one runner of forked jobs, which starts, windows and stops each job's
+forked child while the caller waits; train_teachers reads the jobs in one
+loop and ANDs the pairs' masks. Each child pins its own OpenBLAS to one
+thread; the caller's count is never changed. A worker thread would gain
+little, since the GIL serialises most of a pair's many small numpy calls.
+Where jobs._fork_workers allows no second process, and for a one-pair
+method, the pairs step in the caller.
 train_student fits plain cross-entropy on a trusted subset, checkpointed
 by validation accuracy. Every network trains in float32, as the compared
 methods' PyTorch models did; evaluate scores it in float64.
@@ -33,24 +33,16 @@ methods' PyTorch models did; evaluate scores it in float64.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import multiprocessing
-import os
-import signal
-import traceback
 import warnings
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import islice
-from multiprocessing.connection import wait
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .data import LabeledDataset
+from .jobs import _in_children
 from .losses import _ce, _ce_prob_grad, _check_labels, _jocor_terms
 from .network import (
     ModelParams,
@@ -96,146 +88,6 @@ _TRAIN_DTYPE = np.float32
 
 def _role_rng(seed: int, role: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role,)))
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            dll = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
-                               ("openblas", "")):
-            get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-def _default_start_method() -> str:
-    """The start method a multiprocessing context would use, read without
-    fixing it, so a later set_start_method call by the caller still works."""
-    return (multiprocessing.get_start_method(allow_none=True)
-            or multiprocessing.get_all_start_methods()[0])
-
-
-def _fork_workers(jobs: int) -> int:
-    """How many forked processes share ``jobs`` independent jobs: one per
-    usable CPU, at most one per job. 1 means in this process: fewer than two
-    fit, no OpenBLAS count can be pinned to one thread per process, this
-    process is a daemon, which multiprocessing lets start no process, or the
-    platform's default start method is not fork, which is then missing or
-    held unsafe in a process with threads (_forked always forks)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(jobs, cpus)
-    if (workers < 2 or _openblas_threads() is None or _default_start_method() != "fork"
-            or multiprocessing.current_process().daemon):
-        return 1
-    return workers
-
-
-def _exit_on_sigterm(signum, frame):
-    raise SystemExit(128 + signum)
-
-
-def _child_main(send, fn, args) -> None:
-    """The body of a _forked child: pins its own OpenBLAS to one thread, runs
-    fn(*args) and sends back (result, None), or (None, (exception, traceback
-    text)). It ignores SIGINT, so a Ctrl-C reaches the parent alone, which
-    then stops it. SIGTERM unwinds it without an answer, so that the finally
-    blocks of fn stop the children fn forked in turn."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    blas = _openblas_threads()
-    if blas is not None:
-        blas[1](1)
-    try:
-        outcome = (fn(*args), None)
-    except SystemExit:
-        raise
-    except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
-        outcome = (None, (exc, traceback.format_exc()))
-    send.send(outcome)
-
-
-class _forked:
-    """fn(*args) in one forked child process named ``name``, started on
-    construction. result() waits for its answer: the child's exception is
-    raised in the caller with its type and message, and a child that exits
-    without an answer raises RuntimeError naming its exit code. stop()
-    terminates the child if it is still running, then joins it; _in_children
-    calls it whether its consumer returns or raises."""
-
-    def __init__(self, name: str, fn, *args):
-        context = multiprocessing.get_context("fork")
-        self._recv, send = context.Pipe(duplex=False)
-        # not a daemon: multiprocessing lets a daemon fork no child, and a
-        # grid's cell forks its teacher pairs
-        self._child = context.Process(target=_child_main, args=(send, fn, args), name=name)
-        self._child.start()
-        send.close()
-
-    def result(self):
-        child = self._child
-        wait([self._recv, child.sentinel])
-        outcome = None
-        try:
-            # a child gone without a message leaves the pipe at its end,
-            # which poll reports as readable and recv as EOFError; poll, not
-            # a blocking recv, since a process the child forked in turn may
-            # hold a copy of the write end and keep it open
-            if self._recv.poll():
-                outcome = self._recv.recv()
-        except EOFError:
-            pass
-        if outcome is None:
-            child.join()
-            raise RuntimeError(f"the forked process {child.name} exited with code "
-                               f"{child.exitcode} before sending its result")
-        value, error = outcome
-        if error is not None:
-            exc, trace = error
-            raise exc from RuntimeError(f"in the forked process:\n{trace}")
-        return value
-
-    def stop(self) -> None:
-        if self._child.is_alive():
-            self._child.terminate()
-        self._child.join()
-        self._recv.close()
-
-
-def _in_children(name: str, fn, jobs):
-    """Yield, for each job of the list ``jobs`` in order, a call that returns
-    fn(*job) or raises what fn raised: in this process when _fork_workers
-    allows no second process, else in a _forked child named ``name``, at
-    most _fork_workers(len(jobs)) alive at once. A job starts only when a
-    slot is free and the consumer asks for the next call; its child is
-    stopped once the consumer moves on, and closing the generator
-    terminates every live child."""
-    workers = _fork_workers(len(jobs))
-    if workers < 2:
-        yield from (functools.partial(fn, *job) for job in jobs)
-        return
-    window, todo = deque(), iter(jobs)
-    try:
-        for _ in jobs:
-            for job in islice(todo, workers - len(window)):
-                window.append(_forked(name, fn, *job))
-            yield window[0].result
-            window.popleft().stop()
-    finally:
-        for child in window:
-            child.stop()
 
 
 @dataclass

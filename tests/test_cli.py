@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import jocot.experiment as experiment
-import jocot.training as training
+import jocot.jobs as jobs
 from jocot.cli import main
 from jocot.data import load_csv
 
@@ -165,7 +165,7 @@ def test_run_nonzero_exit_when_cell_fails(tmp_path, monkeypatch):
     assert summary[1].split(",")[4] == ""  # metrics blank for the failed cell
 
 
-@pytest.mark.skipif(training._default_start_method() != "fork",
+@pytest.mark.skipif(jobs._default_start_method() != "fork",
                     reason="cells train in forked processes only where fork is the default")
 def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
     original = experiment.train_student
@@ -176,7 +176,7 @@ def test_run_reports_a_dead_worker_as_cell_errors(tmp_path, monkeypatch):
         return original(clean_train, clean_val, cfg, **kw)
 
     monkeypatch.setattr(experiment, "train_student", dying)
-    monkeypatch.setattr(training, "_fork_workers", lambda jobs: 2)
+    monkeypatch.setattr(jobs, "_fork_workers", lambda count: 2)
     config = write_config(tmp_path)
     assert main(["run", "--config", str(config), "--seeds", "1,2"]) == 1
     out_dir = tmp_path / "results"
@@ -201,7 +201,7 @@ _SIGTERM_GRID = """
 import os, signal, sys, time
 from pathlib import Path
 import jocot.experiment as experiment
-import jocot.training as training
+import jocot.jobs as jobs
 from jocot.cli import main
 
 started = Path(sys.argv[1])
@@ -222,56 +222,122 @@ def signalling(cell, train_cfg, mask, splits):
 
 
 experiment._train = signalling
-training._fork_workers = lambda jobs: 2
+jobs._fork_workers = lambda count: 2
 sys.exit(main(["run", "--config", sys.argv[2], "--seeds", "1,2,3,4"]))
 """
 
 
-@pytest.mark.skipif(training._default_start_method() != "fork",
-                    reason="cells train in forked processes only where fork is the default")
-def test_run_stopped_by_sigterm_stops_its_cells(tmp_path):
-    # a SIGTERM stops `jocot run` as a Ctrl-C does: SystemExit(143), the
-    # cells in training terminated and reaped, no further cell started; a
-    # grid process killed by the signal itself would exit with -15
-    started = tmp_path / "started"
-    started.mkdir()
+@pytest.fixture
+def started(tmp_path):
+    """The directory in which a grid script's cells record their pids; a
+    cell still running at teardown is killed."""
+    path = tmp_path / "started"
+    path.mkdir()
+    yield path
+    for marker in path.glob("[0-9]"):
+        try:
+            os.kill(int(marker.read_text()), signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def run_grid_script(script, started, tmp_path):
+    """``script`` in a fresh interpreter on this checkout's src, given the
+    pid directory and the tiny config; returns its exit status and stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     # output to a file, not a pipe, which orphaned cells would hold open
     log = tmp_path / "stderr"
-    try:
-        with open(log, "w") as stderr:
-            proc = subprocess.run([sys.executable, "-c", _SIGTERM_GRID, str(started),
-                                   str(write_config(tmp_path))],
-                                  env=env, stdout=subprocess.DEVNULL, stderr=stderr, timeout=60)
-        assert proc.returncode == 128 + signal.SIGTERM == 143, log.read_text()
-        assert sorted(p.name for p in started.iterdir()) == ["1", "2"]
-        for marker in started.iterdir():
-            with pytest.raises(ProcessLookupError):
-                os.kill(int(marker.read_text()), 0)  # terminated and reaped
-    finally:
-        for marker in started.glob("[0-9]"):
-            try:
-                os.kill(int(marker.read_text()), signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+    with open(log, "w") as stderr:
+        proc = subprocess.run([sys.executable, "-c", script, str(started),
+                               str(write_config(tmp_path))],
+                              env=env, stdout=subprocess.DEVNULL, stderr=stderr, timeout=60)
+    return proc.returncode, log.read_text()
+
+
+def assert_reaped(started):
+    for marker in started.iterdir():
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(marker.read_text()), 0)  # terminated and reaped
+
+
+@pytest.mark.skipif(jobs._default_start_method() != "fork",
+                    reason="cells train in forked processes only where fork is the default")
+def test_run_stopped_by_sigterm_stops_its_cells(tmp_path, started):
+    # a SIGTERM stops `jocot run` as a Ctrl-C does: SystemExit(143), the
+    # cells in training terminated and reaped, no further cell started; a
+    # grid process killed by the signal itself would exit with -15
+    code, stderr = run_grid_script(_SIGTERM_GRID, started, tmp_path)
+    assert code == 128 + signal.SIGTERM == 143, stderr
+    assert sorted(p.name for p in started.iterdir()) == ["1", "2"]
+    assert_reaped(started)
+
+
+# `jocot run` on a 4-cell grid at 2 workers whose process sends itself
+# SIGTERM once from an at-fork hook, where a handler's raise is dropped as
+# unraisable; each cell records its pid in the directory argv[1]
+_AT_FORK_SIGTERM_GRID = """
+import os, signal, sys
+from pathlib import Path
+import jocot.experiment as experiment
+import jocot.jobs as jobs
+from jocot.cli import main
+
+started = Path(sys.argv[1])
+original = experiment._train
+
+
+def recording(cell, *args):
+    marker = started / f"{cell.seed}.tmp"
+    marker.write_text(str(os.getpid()))
+    marker.rename(started / str(cell.seed))
+    return original(cell, *args)
+
+
+def signal_once():
+    if not getattr(signal_once, "sent", False):
+        signal_once.sent = True
+        os.kill(os.getpid(), signal.SIGTERM)
+
+
+experiment._train = recording
+jobs._fork_workers = lambda count: 2
+os.register_at_fork(before=signal_once)
+sys.exit(main(["run", "--config", sys.argv[2], "--seeds", "1,2,3,4"]))
+"""
+
+
+@pytest.mark.skipif(jobs._default_start_method() != "fork",
+                    reason="cells train in forked processes only where fork is the default")
+def test_a_sigterm_during_a_fork_stops_the_run(tmp_path, started):
+    # the signal reaches the grid while it forks its first cell: that cell
+    # is stopped, no other starts, and the run exits 143, not 0 after
+    # training all four
+    code, stderr = run_grid_script(_AT_FORK_SIGTERM_GRID, started, tmp_path)
+    assert code == 143, stderr
+    assert {p.name for p in started.iterdir()} <= {"1"}
+    assert not (tmp_path / "results").exists()
+    assert_reaped(started)
 
 
 def test_main_puts_back_the_callers_sigterm_handler(tmp_path):
-    # tests and scripts call main in-process; the command's handler lasts
-    # as long as the command
+    # tests and scripts call main in-process; the command's SIGTERM and
+    # SIGINT handlers last as long as the command
     def callers_handler(signum, frame):
         raise AssertionError("not called")
 
-    previous = signal.signal(signal.SIGTERM, callers_handler)
+    previous = {signum: signal.signal(signum, callers_handler)
+                for signum in (signal.SIGTERM, signal.SIGINT)}
     try:
         assert main(["synth", "--classes", "2", "--per-class", "3", "--dim", "2",
                      "--out", str(tmp_path / "data.csv")]) == 0
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
-        assert signal.getsignal(signal.SIGTERM) is callers_handler
+        for signum in previous:
+            assert signal.getsignal(signum) is callers_handler
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def test_run_bad_config_exit_two(tmp_path, capsys):

@@ -1,15 +1,22 @@
 """Data pipeline: CSV schema, rebalancing, splitting, synthetic clusters."""
 
+import io
+import multiprocessing
+import time
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import jocot.data as data
+import jocot.jobs as jobs
 from jocot.data import (
     LabeledDataset,
     SplitSpec,
@@ -111,24 +118,28 @@ def test_save_load_round_trip_bitwise(tmp_path):
 _GOOD = ([[0.5, 1.0], [2.0, -3.0]], [0, 1])
 
 
-@pytest.mark.parametrize("text,expected", [
-    ("f0,f1,label\r\n0.5,1.0,0\r\n2.0,-3.0,1\r\n", _GOOD),
-    ("f0,f1,label\n0.5,1.0,0\n\n\n2.0,-3.0,1\n", _GOOD),
-    ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,1", _GOOD),
-    ('f0,f1,label\n"0.5","1.0",0\n2.0,"-3.0","1"\n', _GOOD),
-    ("f0,f1,label\n 0.5 ,1.0 , 0\n2.0, -3.0,1 \n", _GOOD),
-    ("f0,f1,label\r0.5,1.0,0\r2.0,-3.0,1\r", _GOOD),
-    ("f0,f1,label\n0.5,1.0,0\n#2.0,-3.0,1\n", ":3: malformed numeric value"),
-    ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,3.0\n", ":3: malformed numeric value"),
-    ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,12345678901234567890\n",
-     ":3: malformed numeric value"),
-    ("f0,f1,label\n1_0,1.0,0\n", ":2: malformed numeric value"),
-    ("f0,f1,label\n0.5,1.0,0\n\nnan,-3.0,1\n", ":4: non-finite feature value"),
-    ("f0,f1,label\r\n0.5,1.0,0\r\n  \r\n2.0,-3.0,1\r\n", ":3: expected 3 columns, got 1"),
-    ("f0,f1,label\n", "no data rows"),
-], ids=["crlf", "blank_lines", "no_final_newline", "double_quotes", "spaces", "bare_cr",
-        "comment_row", "float_label", "label_overflow", "digit_grouping",
-        "nan_after_blank_line", "whitespace_line", "header_only"])
+# each file's text and what it loads to: the arrays, or the error's words
+_DIALECT = {
+    "crlf": ("f0,f1,label\r\n0.5,1.0,0\r\n2.0,-3.0,1\r\n", _GOOD),
+    "blank_lines": ("f0,f1,label\n0.5,1.0,0\n\n\n2.0,-3.0,1\n", _GOOD),
+    "no_final_newline": ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,1", _GOOD),
+    "double_quotes": ('f0,f1,label\n"0.5","1.0",0\n2.0,"-3.0","1"\n', _GOOD),
+    "spaces": ("f0,f1,label\n 0.5 ,1.0 , 0\n2.0, -3.0,1 \n", _GOOD),
+    "bare_cr": ("f0,f1,label\r0.5,1.0,0\r2.0,-3.0,1\r", _GOOD),
+    "comment_row": ("f0,f1,label\n0.5,1.0,0\n#2.0,-3.0,1\n", ":3: malformed numeric value"),
+    "float_label": ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,3.0\n", ":3: malformed numeric value"),
+    "label_overflow": ("f0,f1,label\n0.5,1.0,0\n2.0,-3.0,12345678901234567890\n",
+                       ":3: malformed numeric value"),
+    "digit_grouping": ("f0,f1,label\n1_0,1.0,0\n", ":2: malformed numeric value"),
+    "nan_after_blank_line": ("f0,f1,label\n0.5,1.0,0\n\nnan,-3.0,1\n",
+                             ":4: non-finite feature value"),
+    "whitespace_line": ("f0,f1,label\r\n0.5,1.0,0\r\n  \r\n2.0,-3.0,1\r\n",
+                        ":3: expected 3 columns, got 1"),
+    "header_only": ("f0,f1,label\n", "no data rows"),
+}
+
+
+@pytest.mark.parametrize("text,expected", list(_DIALECT.values()), ids=list(_DIALECT))
 def test_load_csv_dialect(tmp_path, text, expected):
     # comments are not skipped, labels are integers written as such, and
     # every error is a ValueError naming the file line, blank lines counted
@@ -143,12 +154,86 @@ def test_load_csv_dialect(tmp_path, text, expected):
     npt.assert_array_equal(ds.labels, expected[1])
 
 
+def cut_csv(monkeypatch, workers):
+    """Cut each CSV save and load into jobs of one byte, ``workers`` of them,
+    each in a forked child. Returns the job count of each runner call, in
+    call order."""
+    counts = []
+    run = jobs._in_children
+
+    def counting(name, fn, job_list):
+        counts.append(len(job_list))
+        return run(name, fn, job_list)
+
+    monkeypatch.setattr(data, "_CSV_JOB_BYTES", 1)
+    monkeypatch.setattr(jobs, "_fork_workers", lambda count: workers)
+    monkeypatch.setattr(jobs, "_in_children", counting)
+    return counts
+
+
+def loaded(path):
+    """What load_csv gives for ``path``: its arrays and class count, or its
+    error's text."""
+    try:
+        ds = load_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return ds.features.tobytes(), ds.labels.tolist(), ds.num_classes
+
+
+needs_fork = pytest.mark.skipif(jobs._default_start_method() != "fork",
+                                reason="CSV jobs fork only where fork is the default")
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case", list(_DIALECT))
+def test_load_csv_dialect_cut_into_jobs(tmp_path, monkeypatch, case, workers):
+    # a body cut after line terminators loads as in one job, or fails with
+    # the same message naming the same line
+    path = tmp_path / "dialect.csv"
+    path.write_bytes(_DIALECT[case][0].encode())
+    whole = loaded(path)
+    counts = cut_csv(monkeypatch, workers)
+    assert loaded(path) == whole
+    # both 3-way shares fall past the first body line only where there is
+    # none, one, or a second line three times as long (label_overflow)
+    if workers == 3 and case not in ("label_overflow", "digit_grouping", "header_only"):
+        assert counts[0] > 1
+
+
+@pytest.mark.parametrize("scan", [1, 2, 1 << 16])
+def test_cuts_fall_where_a_newline_handle_ends_its_lines(tmp_path, monkeypatch, scan):
+    # \n, \r\n taken as one, or a bare \r, also where a \r\n straddles
+    # two reads of the search
+    text = b"ab\r\ncd\re\n\r\nf"
+    path = tmp_path / "lines"
+    path.write_bytes(text)
+    ends = set(accumulate(len(line) for line in io.TextIOWrapper(io.BytesIO(text), newline="")))
+    monkeypatch.setattr(data, "_SCAN_BYTES", scan)
+    with open(path, "rb") as fh:
+        assert {data._line_end(fh, pos) for pos in range(len(text) + 1)} == ends
+
+
+@needs_fork
+def test_a_line_break_in_quotes_at_a_cut_loads_as_in_one_job(tmp_path, monkeypatch):
+    # numpy's reader takes a quoted field across lines; a cut after the break
+    # in one fails both jobs, so the body is parsed again whole
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b'f0,f1,label\n0.5,1.0,0\n"2.0\n",-3.0,1\n')
+    whole = loaded(path)
+    counts = cut_csv(monkeypatch, 2)
+    assert loaded(path) == whole
+    assert counts == [2, 1]
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+_finite_rows = st.integers(1, 6).flatmap(lambda d: st.lists(
     st.tuples(hnp.arrays(np.float64, d, elements=_finite), st.integers(0, 20)),
-    min_size=1, max_size=6)))
+    min_size=1, max_size=6))
+
+
+@given(_finite_rows)
 @example([(np.array([-0.0, 0.0, 5e-324]), 3),
           (np.array([1.7976931348623157e308, -2.2250738585072014e-308, 1e-300]), 7)])
 def test_save_load_round_trip_is_bitwise_for_any_finite_matrix(tmp_path_factory, rows):
@@ -165,6 +250,22 @@ def test_save_load_round_trip_is_bitwise_for_any_finite_matrix(tmp_path_factory,
     back = load_csv(path)
     assert back.features.tobytes() == features.tobytes()
     npt.assert_array_equal(back.labels, labels - 1 if labels.min() >= 1 else labels)
+
+
+@needs_fork
+@settings(max_examples=5, deadline=None)
+@given(_finite_rows)
+def test_save_and_load_cut_into_jobs_give_the_same_bytes(tmp_path_factory, rows):
+    ds = LabeledDataset(np.stack([row for row, _ in rows]), [label for _, label in rows], 21)
+    out = tmp_path_factory.mktemp("cut")
+    save_csv(ds, out / "whole.csv")
+    whole = loaded(out / "whole.csv")
+    with mock.patch.object(data, "_CSV_JOB_BYTES", 1), \
+            mock.patch.object(jobs, "_fork_workers", lambda count: 3):
+        save_csv(ds, out / "cut.csv")
+        assert loaded(out / "cut.csv") == whole
+    assert (out / "cut.csv").read_bytes() == (out / "whole.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["cut.csv", "whole.csv"]
 
 
 def test_rebalance_exact_counts():
@@ -364,6 +465,44 @@ def test_save_csv_formats_one_row_at_a_time(tmp_path, table):
     # would take over 11 MB
     _, peak = _traced(save_csv, table[0], tmp_path / "big.csv")
     assert peak < 1_000_000
+
+
+@needs_fork
+def test_save_csv_cut_into_three_jobs_writes_the_same_bytes(tmp_path, monkeypatch, table):
+    monkeypatch.setattr(jobs, "_fork_workers", lambda count: 1)
+    save_csv(table[0], tmp_path / "one.csv")
+    counts = cut_csv(monkeypatch, 3)
+    monkeypatch.setattr(data, "_CSV_JOB_BYTES", 1 << 20)  # 2.9 MB of features: 3 jobs
+    save_csv(table[0], tmp_path / "three.csv")
+    assert counts == [3]
+    assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "three.csv"]
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [ValueError("disk full"), KeyboardInterrupt()])
+def test_a_save_job_that_raises_leaves_no_part_file_and_no_child(tmp_path, monkeypatch, error):
+    write = data._write_rows
+
+    def failing(dataset, path, mode, start, stop):
+        # the first job writes its rows, the second half of its own, and
+        # the third stays busy
+        if start == 0:
+            return write(dataset, path, mode, start, stop)
+        if stop < len(dataset):
+            write(dataset, path, mode, start, (start + stop) // 2)
+            raise error
+        time.sleep(120)  # unless terminated, the last job outlives the bound below
+
+    cut_csv(monkeypatch, 3)
+    monkeypatch.setattr(data, "_write_rows", failing)
+    ds = synthesize(3, 20, dim=4, separation=2.0, seed=28)
+    start = time.monotonic()
+    with pytest.raises(type(error)):
+        save_csv(ds, tmp_path / "data.csv")
+    assert time.monotonic() - start < 60
+    assert list(tmp_path.glob("*.part")) == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("step", ["subset", "transform"])

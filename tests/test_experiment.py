@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import jocot.experiment as experiment
+import jocot.jobs as jobs
 import jocot.training as training
 from jocot.experiment import (
     CellResult,
@@ -33,7 +34,7 @@ TINY_TRAIN = {"total_epochs": 4, "decay_start_epoch": 3, "batch_size": 16,
 
 
 needs_fork = pytest.mark.skipif(
-    training._default_start_method() != "fork",
+    jobs._default_start_method() != "fork",
     reason="cells train in forked processes only where fork is the default")
 
 
@@ -41,9 +42,9 @@ def force_workers(monkeypatch, workers, cells=None):
     """Run forked jobs ``workers`` at a time: every runner's, or with
     ``cells`` only those of a grid of that many cells, so that a cell's two
     teacher pairs keep the real rule."""
-    real = training._fork_workers
-    monkeypatch.setattr(training, "_fork_workers",
-                        lambda jobs: workers if cells in (None, jobs) else real(jobs))
+    real = jobs._fork_workers
+    monkeypatch.setattr(jobs, "_fork_workers",
+                        lambda count: workers if cells in (None, count) else real(count))
 
 
 def tiny_config(**kw):
@@ -304,7 +305,7 @@ def fork_teachers(monkeypatch):
     """Two usable CPUs and an OpenBLAS count to pin, whatever the machine
     has, so each jocot cell forks its teacher pairs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(training, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
+    monkeypatch.setattr(jobs, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
 
 
 @needs_fork
@@ -421,21 +422,21 @@ def test_a_stopped_grid_stops_the_teacher_processes_of_its_cells(tmp_path, monke
     (8, None, True, "fork", 2),  # no affinity call: os.cpu_count()
 ])
 def test_cell_workers_rule(monkeypatch, cells, cpus, blas, start, workers):
-    monkeypatch.setattr(training, "_openblas_threads",
+    monkeypatch.setattr(jobs, "_openblas_threads",
                         lambda: (None, None) if blas else None)
-    monkeypatch.setattr(training, "_default_start_method", lambda: start)
+    monkeypatch.setattr(jobs, "_default_start_method", lambda: start)
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-    assert training._fork_workers(cells) == workers
+    assert jobs._fork_workers(cells) == workers
 
 
 def test_reading_the_start_method_leaves_it_unset():
     # a caller may still choose its own start method after a grid has run
-    code = ("import multiprocessing, jocot.training as t; t._default_start_method(); "
+    code = ("import multiprocessing, jocot.jobs as j; j._default_start_method(); "
             "multiprocessing.set_start_method('spawn')")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -15,6 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import jocot.jobs as jobs
 import jocot.training as training
 from jocot.data import LabeledDataset, synthesize
 from jocot.losses import ce_batch, make_ce_loss_fn, make_joint_loss_fn, symmetric_kl_batch
@@ -463,7 +464,7 @@ def fake_blas(monkeypatch):
         sets.append(threads)
         count[0] = threads
 
-    monkeypatch.setattr(training, "_openblas_threads", lambda: (lambda: count[0], set_))
+    monkeypatch.setattr(jobs, "_openblas_threads", lambda: (lambda: count[0], set_))
     return sets
 
 
@@ -474,7 +475,7 @@ def record_pair_calls(monkeypatch, log, before=None):
     calls ``before(state)`` if given. Returns a reader of those records."""
 
     def recording(state, *args, **kwargs):
-        blas = training._openblas_threads()
+        blas = jobs._openblas_threads()
         ignored = signal.getsignal(signal.SIGINT) is signal.SIG_IGN
         with open(log, "a") as f:
             f.write(f"{state.module_kind} {os.getpid()} {blas[0]() if blas else 0} "
@@ -497,7 +498,7 @@ def pids_by_kind(calls):
     return {kind: {pid for k, pid, *_ in calls if k == kind} for kind, *_ in calls}
 
 
-needs_fork = pytest.mark.skipif(training._default_start_method() != "fork",
+needs_fork = pytest.mark.skipif(jobs._default_start_method() != "fork",
                                 reason="the teachers fork only where fork is the default")
 
 
@@ -536,7 +537,7 @@ def test_train_teachers_concurrent_equals_inline(monkeypatch, fake_blas, two_cpu
         ("jocor", 1, True), ("coteaching", 1, True)}
     assert fake_blas == []  # the caller's count is never set
     # with no OpenBLAS count to pin, both pairs step in this process
-    monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(jobs, "_openblas_threads", lambda: None)
     inline = train_teachers(cfg, noisy, test_set=test, noise_mask=mask)
     assert pids_by_kind(calls()[10:]) == {"jocor": {os.getpid()}, "coteaching": {os.getpid()}}
 
@@ -555,7 +556,7 @@ def test_train_teachers_concurrent_equals_inline(monkeypatch, fake_blas, two_cpu
         assert sa.opt.step_count == sb.opt.step_count
 
 
-needs_openblas = pytest.mark.skipif(training._openblas_threads() is None,
+needs_openblas = pytest.mark.skipif(jobs._openblas_threads() is None,
                                     reason="no OpenBLAS bundled with numpy found")
 
 
@@ -563,7 +564,7 @@ needs_openblas = pytest.mark.skipif(training._openblas_threads() is None,
 def blas_at_two_threads():
     """The OpenBLAS (get, set) pair, the count set to 2 (as the library
     reports it back) for the test and the caller's count put back after."""
-    get, set_ = training._openblas_threads()
+    get, set_ = jobs._openblas_threads()
     before = get()
     set_(2)
     try:
@@ -615,8 +616,8 @@ def test_no_worker_when_no_blas_count_can_be_pinned(monkeypatch, two_cpus, tmp_p
     def no_fork(*args):
         raise AssertionError("no child expected")
 
-    monkeypatch.setattr(training, "_openblas_threads", lambda: None)
-    monkeypatch.setattr(training, "_forked", no_fork)
+    monkeypatch.setattr(jobs, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(jobs, "_forked", no_fork)
     calls = record_pair_calls(monkeypatch, tmp_path / "calls")
     noisy, _, _ = noisy_teacher_task()
     train_teachers(small_cfg(noise_rate_tau=0.4), noisy)
@@ -659,7 +660,7 @@ def test_an_error_in_the_parent_terminates_the_child(monkeypatch, two_cpus, tmp_
 
 @needs_fork
 def test_a_failed_second_fork_stops_the_first_child(monkeypatch, two_cpus, tmp_path):
-    real, forked = training._forked, []
+    real, forked = jobs._forked, []
 
     def fork_once(name, fn, *args):
         if forked:
@@ -672,7 +673,7 @@ def test_a_failed_second_fork_stops_the_first_child(monkeypatch, two_cpus, tmp_p
         os._exit(1)
 
     record_pair_calls(monkeypatch, tmp_path / "calls", before)
-    monkeypatch.setattr(training, "_forked", fork_once)
+    monkeypatch.setattr(jobs, "_forked", fork_once)
     noisy, _, _ = noisy_teacher_task()
     start = time.monotonic()
     with pytest.raises(OSError, match="fork failed"):
@@ -697,9 +698,9 @@ def test_a_child_that_dies_raises_naming_its_exit_code(monkeypatch, two_cpus):
 @needs_fork
 def test_a_daemon_process_forks_no_child(monkeypatch, fake_blas, two_cpus):
     # multiprocessing lets a daemon start no process, and pool workers are daemons
-    assert training._fork_workers(2) == 2
+    assert jobs._fork_workers(2) == 2
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply(training._fork_workers, (2,)) == 1
+        assert pool.apply(jobs._fork_workers, (2,)) == 1
         noisy, _, _ = noisy_teacher_task()
         result = pool.apply(train_teachers, (small_cfg(noise_rate_tau=0.4), noisy))
     assert len(result.metrics) == 5
@@ -718,7 +719,7 @@ def test_a_one_pair_method_leaves_blas_and_threads_alone(monkeypatch, fake_blas,
 def test_overlapping_callers_each_fork_their_own_pairs(monkeypatch, fake_blas, two_cpus,
                                                        tmp_path):
     # two threads train at once; no setting of the caller's process is shared
-    get = training._openblas_threads()[0]
+    get = jobs._openblas_threads()[0]
     started = tmp_path / "started"
     started.mkdir()
 
