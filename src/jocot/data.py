@@ -8,8 +8,9 @@ its header.
 
 save_csv and load_csv cut a CSV into contiguous ranges of rows, or of
 whole lines, and run each as a job of jobs._in_children, so a large file is
-formatted or parsed on every usable CPU; a file under _CSV_JOB_BYTES is one
-job in the caller. The bytes written and the arrays and errors read are the
+formatted or parsed on every usable CPU; a file under twice _SAVE_JOB_BYTES
+of features, or twice _LOAD_JOB_BYTES of body text, is one job in the
+caller. The bytes written and the arrays and errors read are the
 same for any cut.
 """
 
@@ -17,8 +18,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 import shutil
+import tempfile
 import warnings
 from contextlib import closing
 from dataclasses import dataclass
@@ -30,11 +33,15 @@ from . import jobs
 
 CANONICAL_FEATURES = 51
 
-# a save_csv or load_csv of fewer bytes than this (of features to format,
-# or of body text to parse) is one job in the caller, since a fork costs
-# more than it saves; a larger one gets one job per this many bytes, at
-# most one per worker that jobs._fork_workers allows
-_CSV_JOB_BYTES = 1 << 20
+# the least share of one save_csv job (bytes of features to format) and of
+# one load_csv job (bytes of body text to parse): a file gets one job per
+# share, at most one per worker that jobs._fork_workers allows, so under two
+# shares it is one job in the caller. Two shares sit just past the size from
+# which two forked jobs beat one at 1 and at 2 OpenBLAS threads on 2 CPUs
+# (BENCH_23.json "csv_job_crossover"): a save of 1,440 rows of 51 features
+# (588 KB), a load of 3,840 rows (3.8 MB of text)
+_SAVE_JOB_BYTES = 320 << 10
+_LOAD_JOB_BYTES = 2 << 20
 
 # the block in which a cut is searched for and a part file is copied
 _SCAN_BYTES = 1 << 16
@@ -215,7 +222,7 @@ def load_csv(path) -> LabeledDataset:
     The width is taken from the header. Files labeled 1..M are shifted to
     0..M-1, detected by the absence of label 0. The body is cut after line
     terminators into one contiguous job per worker that jobs._fork_workers
-    allows, at most one per _CSV_JOB_BYTES of it; the arrays are the same for
+    allows, at most one per _LOAD_JOB_BYTES of it; the arrays are the same for
     any cut. A quoted field may hold a line terminator, so a cut body that
     does not parse is parsed again whole; only if that fails too is it read
     line by line, to name the first bad line.
@@ -227,7 +234,7 @@ def load_csv(path) -> LabeledDataset:
         start, size = 0, path.stat().st_size
         for _ in range(reader.line_num):  # the body starts after the header's lines
             start = _line_end(fh.buffer, start)
-        count = jobs._fork_workers((size - start) // _CSV_JOB_BYTES)
+        count = jobs._fork_workers((size - start) // _LOAD_JOB_BYTES)
         cuts = {_line_end(fh.buffer, start + (size - start) * i // count)
                 for i in range(1, count)}
     bounds = [start, *sorted(cuts - {size}), size]
@@ -260,28 +267,33 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     save/load round trip is bitwise exact. Rows are formatted one at a
     time, so no Python float outlives its row. They are cut into one
     contiguous job per worker that jobs._fork_workers allows, at most one
-    per _CSV_JOB_BYTES of features: the first job appends its rows to the
-    header, each later one writes a part file beside ``path``, and the parts
-    are appended in order, so the bytes are the same for any cut. No part
-    file outlives the call."""
+    per _SAVE_JOB_BYTES of features: the first job appends its rows to the
+    header, each later one writes a part file of a new name beside ``path``,
+    and the parts are appended in order, so the bytes are the same for any
+    cut. No part file outlives the call."""
     path = Path(path)
     n, d = dataset.features.shape
-    count = jobs._fork_workers(dataset.features.nbytes // _CSV_JOB_BYTES)
-    targets = [path] + [path.with_name(f"{path.name}.{i}.part") for i in range(1, count)]
+    count = jobs._fork_workers(dataset.features.nbytes // _SAVE_JOB_BYTES)
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
-    writes = [(dataset, target, "w" if i else "a", n * i // count, n * (i + 1) // count)
-              for i, target in enumerate(targets)]
+    parts = []
     try:
+        for _ in range(1, count):
+            # a new name each, so no file already beside path is written over
+            fd, part = tempfile.mkstemp(suffix=".part", prefix=f"{path.name}.", dir=path.parent)
+            os.close(fd)
+            parts.append(Path(part))
+        writes = [(dataset, target, "w" if i else "a", n * i // count, n * (i + 1) // count)
+                  for i, target in enumerate([path, *parts])]
         with closing(jobs._in_children("jocot-csv", _write_rows, writes)) as calls:
             for get in calls:
                 get()
         with open(path, "ab") as out:
-            for part in targets[1:]:
+            for part in parts:
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, out, _SCAN_BYTES)
     finally:
-        for part in targets[1:]:
+        for part in parts:
             part.unlink(missing_ok=True)
 
 

@@ -7,10 +7,11 @@ than two fit, every job runs in the caller. It has three callers, each one
 loop over one job list: experiment.run_experiment runs one job per grid
 cell, training.train_teachers one per teacher pair, and data.save_csv and
 data.load_csv one per contiguous, line-aligned range of a feature CSV.
-Each child pins its own OpenBLAS to one thread; the caller's count is never
-changed. A job starts only when a slot is free and the caller asks for the
-next call, and closing the runner stops every live child, so no process
-outlives the call that forked it.
+Each child pins its own OpenBLAS to one thread and stops the library's
+thread pool, which would otherwise spin idle for its first 0.1-0.2 s; the
+caller's count is never changed. A job starts only when a slot is free
+and the caller asks for the next call, and closing the runner stops every
+live child, so no process outlives the call that forked it.
 
 cli.main turns SIGTERM and SIGINT into exceptions through this module's
 handlers for the length of a command, so the command unwinds and stops its
@@ -42,8 +43,9 @@ _caught_signal = None
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
+def _openblas_library():
+    """(library, get, set) of the OpenBLAS bundled with numpy, with its
+    thread count's getter and setter, or None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         try:
@@ -57,8 +59,25 @@ def _openblas_threads():
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                return dll, get, set_
     return None
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
+    found = _openblas_library()
+    return None if found is None else found[1:]
+
+
+@functools.cache
+def _openblas_pool_stop():
+    """blas_thread_shutdown_, the hook that OpenBLAS runs before a fork to
+    stop its thread pool, or None where the library does not export it."""
+    found = _openblas_library()
+    stop = None if found is None else getattr(found[0], "blas_thread_shutdown_", None)
+    if stop is not None:
+        stop.argtypes, stop.restype = [], ctypes.c_int
+    return stop
 
 
 def _default_start_method() -> str:
@@ -137,6 +156,12 @@ def _child_main(send, fn, args) -> None:
     blas = _openblas_threads()
     if blas is not None:
         blas[1](1)
+        # the fork stopped OpenBLAS's thread pool and setting the count
+        # starts it again, where its idle threads spin for 0.1-0.2 s before
+        # they sleep; at one thread the library never starts it, so stop it
+        stop = _openblas_pool_stop()
+        if stop is not None:
+            stop()
     try:
         outcome = (fn(*args), None)
     except SystemExit:

@@ -165,7 +165,8 @@ def cut_csv(monkeypatch, workers):
         counts.append(len(job_list))
         return run(name, fn, job_list)
 
-    monkeypatch.setattr(data, "_CSV_JOB_BYTES", 1)
+    monkeypatch.setattr(data, "_SAVE_JOB_BYTES", 1)
+    monkeypatch.setattr(data, "_LOAD_JOB_BYTES", 1)
     monkeypatch.setattr(jobs, "_fork_workers", lambda count: workers)
     monkeypatch.setattr(jobs, "_in_children", counting)
     return counts
@@ -260,7 +261,8 @@ def test_save_and_load_cut_into_jobs_give_the_same_bytes(tmp_path_factory, rows)
     out = tmp_path_factory.mktemp("cut")
     save_csv(ds, out / "whole.csv")
     whole = loaded(out / "whole.csv")
-    with mock.patch.object(data, "_CSV_JOB_BYTES", 1), \
+    with mock.patch.object(data, "_SAVE_JOB_BYTES", 1), \
+            mock.patch.object(data, "_LOAD_JOB_BYTES", 1), \
             mock.patch.object(jobs, "_fork_workers", lambda count: 3):
         save_csv(ds, out / "cut.csv")
         assert loaded(out / "cut.csv") == whole
@@ -472,11 +474,28 @@ def test_save_csv_cut_into_three_jobs_writes_the_same_bytes(tmp_path, monkeypatc
     monkeypatch.setattr(jobs, "_fork_workers", lambda count: 1)
     save_csv(table[0], tmp_path / "one.csv")
     counts = cut_csv(monkeypatch, 3)
-    monkeypatch.setattr(data, "_CSV_JOB_BYTES", 1 << 20)  # 2.9 MB of features: 3 jobs
     save_csv(table[0], tmp_path / "three.csv")
     assert counts == [3]
     assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "three.csv"]
+
+
+@needs_fork
+def test_a_save_in_jobs_leaves_files_named_like_its_parts(tmp_path, monkeypatch):
+    # part files take new names, so a file already beside the destination
+    # is neither written over nor removed
+    ds = synthesize(3, 20, dim=4, separation=2.0, seed=29)
+    save_csv(ds, tmp_path / "one.csv")
+    kept = {tmp_path / f"data.csv.{i}.part": f"kept {i}\n" for i in (1, 2)}
+    for path, text in kept.items():
+        path.write_text(text)
+    counts = cut_csv(monkeypatch, 3)
+    save_csv(ds, tmp_path / "data.csv")
+    assert counts == [3]
+    assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert {path: path.read_text() for path in kept} == kept
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.csv", "data.csv.1.part", "data.csv.2.part", "one.csv"]
 
 
 @needs_fork

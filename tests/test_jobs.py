@@ -81,3 +81,28 @@ def test_in_children_answers_in_job_order_and_stops_with_its_consumer(job_list, 
     assert started <= set(range(min(len(job_list), reads + 1) if reads else 0))
     assert set(range(reads)) <= started
     assert multiprocessing.active_children() == []
+
+
+def blas_threads_here():
+    """This process's OpenBLAS thread count and how many threads it runs."""
+    return jobs._openblas_threads()[0](), len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(jobs._default_start_method() != "fork"
+                    or jobs._openblas_pool_stop() is None
+                    or not Path("/proc/self/task").is_dir(),
+                    reason="needs fork, OpenBLAS's pool hook and /proc")
+def test_a_child_runs_on_one_blas_thread_with_no_idle_pool():
+    # the fork stops OpenBLAS's thread pool and pinning the child's count
+    # starts it again, where an idle thread would spin beside the job
+    get, set_ = jobs._openblas_threads()
+    before = get()
+    set_(2)
+    try:
+        with mock.patch.object(jobs, "_fork_workers", lambda count: 2):
+            answers = [call() for call in
+                       jobs._in_children("jocot-test", blas_threads_here, [(), ()])]
+        assert answers == [(1, 1), (1, 1)]
+        assert get() == 2
+    finally:
+        set_(before)
