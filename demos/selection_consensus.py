@@ -1,8 +1,8 @@
 """Walk through the clean-sample selection machinery on toy numbers.
 
 Shows the remember-rate schedule, picks the small-loss subset of one
-batch, and composes the four per-network selections into the inner and
-outer consensus that defines the presumed-clean set.
+batch, and composes the four per-network selection masks into the inner
+and outer consensus that defines the presumed-clean set.
 """
 
 import argparse
@@ -30,15 +30,19 @@ def main() -> None:
     print(f"keep 60% -> global indices {kept.tolist()} "
           "(ties break toward the smaller index)")
 
-    # four selections for one batch: two per teacher module
-    p1, p2 = np.array([10, 11, 12, 14]), np.array([11, 12, 13, 14])
-    q1, q2 = np.array([10, 11, 12]), np.array([11, 12, 14])
-    i_p = consensus((p1, p2))
-    i_q = consensus((q1, q2))
-    i_con = consensus((p1, p2), (q1, q2))
-    print(f"\nmodule F selections {p1.tolist()} & {p2.tolist()} -> {i_p.tolist()}")
-    print(f"module G selections {q1.tolist()} & {q2.tolist()} -> {i_q.tolist()}")
-    print(f"consensus across modules -> {i_con.tolist()}")
+    # four selections for one batch, two per teacher module, each a boolean
+    # mask over the batch; each module's inner consensus is the consensus of
+    # its two masks, and the clean set the consensus of the inner masks
+    p1, p2 = np.isin(batch, [10, 11, 12, 14]), np.isin(batch, [11, 12, 13, 14])
+    q1, q2 = np.isin(batch, [10, 11, 12]), np.isin(batch, [11, 12, 14])
+    i_p = consensus(p1, p2)
+    i_q = consensus(q1, q2)
+    i_con = consensus(i_p, i_q)
+    print(f"\nmodule F selections {batch[p1].tolist()} & {batch[p2].tolist()} "
+          f"-> {batch[i_p].tolist()}")
+    print(f"module G selections {batch[q1].tolist()} & {batch[q2].tolist()} "
+          f"-> {batch[i_q].tolist()}")
+    print(f"consensus across modules -> {batch[i_con].tolist()}")
 
 
 if __name__ == "__main__":

@@ -87,19 +87,9 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/test/validation fractions (must sum to 1) plus a shuffle seed."""
+    """The shuffle seed of the fixed 8:1:1 train/test/validation split."""
 
-    train_frac: float = 0.8
-    test_frac: float = 0.1
-    val_frac: float = 0.1
     seed: int = 0
-
-    def __post_init__(self):
-        fracs = (self.train_frac, self.test_frac, self.val_frac)
-        if any(f <= 0 for f in fracs):
-            raise ValueError("all split fractions must be positive")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions sum to {sum(fracs)}, expected 1")
 
 
 def _parse_header(header, path):
@@ -323,32 +313,35 @@ def rebalance(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
     return dataset.subset(np.concatenate(kept))
 
 
-def _largest_remainder_counts(n: int, fracs) -> list:
-    exact = [round(n * f, 9) for f in fracs]
-    counts = [int(np.floor(e)) for e in exact]
-    shortfall = n - sum(counts)
-    # distribute leftovers to the largest fractional parts, earlier split
-    # winning ties (train, then test, then val); rounding to 1e-9 keeps float
-    # error from breaking a tie (5 * 0.12 = 0.6000000000000001 > 5 * 0.72 - 3)
-    order = sorted(range(len(fracs)), key=lambda i: (-round(exact[i] - counts[i], 9), i))
-    for i in order[:shortfall]:
+# the train, test and val shares of each class, in tenths
+_SPLIT_TENTHS = (8, 1, 1)
+
+
+def _largest_remainder_counts(n: int) -> list:
+    """Train, test and val counts of n samples at 8:1:1, in integers: each
+    part's whole tenths, then the leftovers to the largest remainders,
+    earlier parts winning ties (train, then test, then val)."""
+    counts = [n * t // 10 for t in _SPLIT_TENTHS]
+    order = sorted(range(3), key=lambda i: (-(n * _SPLIT_TENTHS[i] % 10), i))
+    for i in order[:n - sum(counts)]:
         counts[i] += 1
     return counts
 
 
 def split(dataset: LabeledDataset, spec: SplitSpec):
-    """Stratified (train, test, val) partition, exact by largest remainder."""
+    """Stratified (train, test, val) partition at 8:1:1: each class is
+    shuffled by ``spec.seed`` and cut at its largest-remainder counts,
+    which are exact integers, so a part of a small class may be empty."""
     if len(dataset) < 3:
         raise ValueError("dataset too small to split three ways")
     rng = np.random.default_rng(spec.seed)
-    fracs = (spec.train_frac, spec.test_frac, spec.val_frac)
     parts = [[], [], []]
     for c in range(dataset.num_classes):
         members = np.flatnonzero(dataset.labels == c)
         if members.size == 0:
             continue
         members = rng.permutation(members)
-        counts = _largest_remainder_counts(members.size, fracs)
+        counts = _largest_remainder_counts(members.size)
         start = 0
         for part, count in zip(parts, counts):
             part.append(members[start:start + count])

@@ -2,19 +2,20 @@
 
 Three mechanisms: the remember-rate schedule that decides how large a
 fraction of each batch is presumed clean, small-loss selection that picks
-that fraction by an O(n) partition, and the consensus intersection that
-combines the four peer networks' selections into one trusted index set.
-Small-loss selection sees only the losses: it returns ascending positions
-and gives a tie at the cut to the earliest rows, so a caller that orders
-its rows by dataset index breaks ties toward the smaller index. Per-batch
-selections are numpy index arrays; SelectionSet holds the final clean set.
+that fraction by an O(n) partition, and the consensus that ANDs boolean
+masks over the samples: a teacher module's inner consensus is that of its
+two peers' picks, and the trusted clean set the outer consensus of the
+modules' inner masks. Small-loss selection sees only the losses: it
+returns ascending positions and gives a tie at the cut to the earliest
+rows, so a caller that orders its rows by dataset index breaks ties toward
+the smaller index. Per-batch selections are numpy index arrays;
+SelectionSet holds the final clean set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -86,13 +87,15 @@ def small_loss_select(losses, keep_fraction: float) -> np.ndarray:
     return np.flatnonzero(picked)
 
 
-def consensus(*pairs) -> np.ndarray:
-    """Sorted indices that every peer of every pair selected.
-
-    Each pair is one teacher module's two duplicate-free index arrays: their
-    intersection is the module's inner consensus, and the intersection
-    across modules is the outer consensus.
-    """
-    inner = [np.intersect1d(a, b, assume_unique=True) for a, b in pairs]
-    return reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), inner)
+def consensus(*masks) -> np.ndarray:
+    """Boolean mask of the samples that every one of ``masks``, bool masks
+    of one shape over the same samples, selects: their AND, a new array."""
+    masks = [np.asarray(m) for m in masks]
+    if not masks:
+        raise ValueError("consensus needs at least one mask")
+    for m in masks:
+        if m.dtype != bool or m.shape != masks[0].shape:
+            raise ValueError(f"each mask must be a bool mask of shape {masks[0].shape}, "
+                             f"got {m.dtype} of shape {m.shape}")
+    return np.logical_and.reduce(masks)
 

@@ -21,9 +21,10 @@ student; for a baseline, its one pair's. Pairs read nothing of each
 other, so each pair's whole epoch loop is one job of jobs._in_children,
 the one runner of forked jobs, which starts, windows and stops each job's
 forked child while the caller waits; train_teachers reads the jobs in one
-loop and ANDs the pairs' masks. Each child pins its own OpenBLAS to one
-thread; the caller's count is never changed. A worker thread would gain
-little, since the GIL serialises most of a pair's many small numpy calls.
+loop and takes the consensus of the pairs' inner masks. Each child pins
+its own OpenBLAS to one thread; the caller's count is never changed. A
+worker thread would gain little, since the GIL serialises most of a
+pair's many small numpy calls.
 Where jobs._fork_workers allows no second process, and for a one-pair
 method, the pairs step in the caller.
 train_student fits plain cross-entropy on a trusted subset, checkpointed
@@ -57,7 +58,7 @@ from .network import (
     lr_at,
 )
 from .noise import NoiseMask, noisy_label_precision
-from .selection import SelectionSet, remember_rate, small_loss_select
+from .selection import SelectionSet, consensus, remember_rate, small_loss_select
 
 MODULE_KINDS = ("coteaching", "jocor", "coteachingplus")
 
@@ -280,11 +281,11 @@ def _pair_epochs(config: TrainConfig, noisy_train: LabeledDataset, module_kind: 
         state = pair_epoch(state, noisy_train, rate, lr_at(epoch, config), batches,
                            lambda_weight=config.lambda_weight)
         # the batches partition the samples, so the union over batches of the
-        # peers' common picks is the AND of each peer's picks over the epoch
+        # peers' common picks is the consensus of each peer's epoch picks
         picked = np.zeros((2, n), dtype=bool)
         for picks in state.epoch_selections:
             picked[[[0], [1]], picks] = True
-        inner = picked[0] & picked[1]
+        inner = consensus(*picked)
         accuracies = None
         if test_set is not None:
             accuracies = [evaluate(ModelParams.from_flat(dims, peer), test_set)
@@ -304,10 +305,10 @@ def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, method: str
     OpenBLAS thread, where _fork_workers allows a process per pair, else all
     in the caller (a one-pair method's always), with BLAS as it set it.
     The batches partition the samples, so an epoch's clean mask, the union
-    over batches of the per-batch consensus (inner, then outer), is the AND
-    of the pairs' inner-consensus masks. ``states`` holds each pair's final
-    state, in table order; the final epoch's clean set must not be empty
-    where a student trains on it (jocot's)."""
+    over batches of the per-batch consensus (inner, then outer), is the
+    consensus of the pairs' inner-consensus masks. ``states`` holds each
+    pair's final state, in table order; the final epoch's clean set must not
+    be empty where a student trains on it (jocot's)."""
     pairs, shuffle_role, trains_student = METHODS.get(method, ((), None, False))
     if not pairs:
         raise ValueError(f"method {method!r} trains no teacher pair")
@@ -320,7 +321,7 @@ def train_teachers(config: TrainConfig, noisy_train: LabeledDataset, method: str
     metrics: List[EpochMetrics] = []
     clean_masks: List[np.ndarray] = []
     for epoch, per_pair in enumerate(zip(*(epochs for _, epochs in results))):
-        clean = functools.reduce(np.logical_and, [inner for inner, _, _ in per_pair])
+        clean = consensus(*(inner for inner, _, _ in per_pair))
         clean_masks.append(clean)
         precision = None
         if noise_mask is not None and noise_mask.num_flipped > 0:

@@ -215,7 +215,9 @@ def test_05_consensus_laws():
         g_pairs = teachers.states[1].epoch_selections
         assert len(f_pairs) == len(g_pairs) > 0
         for (p1, p2), (q1, q2) in zip(f_pairs, g_pairs):
-            composed = set(consensus((p1, p2), (q1, q2)).tolist())
+            p1m, p2m, q1m, q2m = (np.isin(np.arange(len(noisy)), s) for s in (p1, p2, q1, q2))
+            composed = set(np.flatnonzero(consensus(consensus(p1m, p2m),
+                                                    consensus(q1m, q2m))).tolist())
             direct = set(p1.tolist()) & set(p2.tolist()) & set(q1.tolist()) & set(q2.tolist())
             compose_ok = compose_ok and composed == direct
             for component in (p1, p2, q1, q2):
@@ -227,7 +229,9 @@ def test_05_consensus_laws():
         for _ in range(4):
             size = int(rng.integers(5, 26))
             quad.append(rng.choice(40, size=size, replace=False))
-        composed = set(consensus((quad[0], quad[1]), (quad[2], quad[3])).tolist())
+        masks = [np.isin(np.arange(40), s) for s in quad]
+        composed = set(np.flatnonzero(consensus(consensus(masks[0], masks[1]),
+                                                consensus(masks[2], masks[3]))).tolist())
         direct = (set(quad[0].tolist()) & set(quad[1].tolist())
                   & set(quad[2].tolist()) & set(quad[3].tolist()))
         compose_ok = compose_ok and composed == direct

@@ -1,14 +1,20 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jocot.experiment as experiment
 import jocot.jobs as jobs
@@ -384,6 +390,44 @@ def test_a_method_without_a_student_needs_no_val_split(tmp_path):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("per_class = 30", "per_class = 4"))
     assert main(["run", "--config", str(path), "--method", "coteaching"]) == 0
+
+
+@st.composite
+def _small_grid(draw):
+    """A config of small random [data] and [train] tables for one `jocot run`:
+    2-4 classes of 1-12 samples each and a batch size from 1 to above n."""
+    classes, per_class = draw(st.integers(2, 4)), draw(st.integers(1, 12))
+    batch_size = draw(st.integers(1, classes * per_class + 8))
+    method = draw(st.sampled_from(sorted(experiment.METHODS)))
+    return (f"[data]\nclasses = {classes}\nper_class = {per_class}\ndim = 3\n"
+            f"separation = {draw(st.sampled_from([0.5, 3.0]))}\n"
+            f"split_seed = {draw(st.integers(0, 9))}\n"
+            f"[experiment]\nmethod = {method}\nrates = 0.0,0.4\nseeds = 1\nout = {{out}}\n"
+            f"[train]\ntotal_epochs = 2\ndecay_start_epoch = 1\nbatch_size = {batch_size}\n"
+            f"hidden_dims = 4\nnum_gradual_T = {draw(st.integers(1, 3))}\n")
+
+
+@settings(max_examples=12, deadline=None)
+@given(_small_grid())
+def test_run_on_small_random_data_fails_only_by_naming_its_cause(config):
+    # data whose split cannot serve a cell is refused before any training,
+    # so no cell fails for want of a val or test sample
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "exp.ini", Path(tmp) / "results"
+        path.write_text(config.format(out=out))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", "--config", str(path)])
+        if code == 2:
+            assert re.search(r"split|\[(data|train|experiment)\] '", stderr.getvalue())
+            assert not out.exists()
+            return
+        cells = json.loads((out / "result.json").read_text())["cells"]
+        errors = [cell["error"] for cell in cells]
+        assert code == (1 if any(errors) else 0)
+        for error in filter(None, errors):
+            assert "clean_val is empty" not in error
+            assert "cannot evaluate on an empty dataset" not in error
 
 
 def test_run_missing_config_exit_two(tmp_path, capsys):

@@ -333,10 +333,10 @@ def test_split_partition_exact():
     assert len(train) + len(test) + len(val) == len(ds)
 
 
-def largest_remainder_oracle(n, percents):
-    """Exact largest-remainder counts for integer percentages; equal
-    remainders go to the earlier split (train, then test, then val)."""
-    shares = [Fraction(n * p, 100) for p in percents]
+def largest_remainder_oracle(n):
+    """Exact largest-remainder counts of the shares 8/10, 1/10 and 1/10 of
+    n; equal remainders go to the earlier split (train, then test, then val)."""
+    shares = [n * Fraction(t, 10) for t in (8, 1, 1)]
     counts = [int(x) for x in shares]
     order = sorted(range(3), key=lambda i: (counts[i] - shares[i], i))
     for i in order[:n - sum(counts)]:
@@ -344,22 +344,24 @@ def largest_remainder_oracle(n, percents):
     return counts
 
 
-@given(st.lists(st.integers(0, 3), min_size=3, max_size=60),
-       st.integers(1, 97), st.integers(1, 97), st.integers(0, 2**16))
-# remainders 0.8, 0.6, 0.6: the tie goes to test although 5 * 0.12 rounds up
-@example(labels=[0] * 5, train_pct=16, test_pct=72, seed=0)
-def test_split_partitions_with_largest_remainder_counts(labels, train_pct, test_pct, seed):
-    if train_pct + test_pct > 99:
-        test_pct = 99 - train_pct
-    percents = (train_pct, test_pct, 100 - train_pct - test_pct)
+def test_split_counts_every_class_size_by_exact_largest_remainder():
+    sizes = np.arange(1, 2001)
+    ds = LabeledDataset(np.zeros((sizes.sum(), 1)), np.repeat(np.arange(sizes.size), sizes),
+                        sizes.size)
+    got = np.stack([part.class_counts() for part in split(ds, SplitSpec(seed=3))], axis=1)
+    assert got.tolist() == [largest_remainder_oracle(int(n)) for n in sizes]
+
+
+@given(st.lists(st.integers(0, 3), min_size=3, max_size=60), st.integers(0, 2**16))
+def test_split_partitions_with_largest_remainder_counts(labels, seed):
     n = len(labels)
     ds = LabeledDataset(np.arange(n, dtype=float)[:, None], labels, 4)  # row tags
-    parts = split(ds, SplitSpec(*(p / 100 for p in percents), seed=seed))
+    parts = split(ds, SplitSpec(seed=seed))
     tags = np.concatenate([part.features[:, 0] for part in parts])
     npt.assert_array_equal(np.sort(tags), np.arange(n))
     for c in range(4):
         got = [int(part.class_counts()[c]) for part in parts]
-        assert got == largest_remainder_oracle(labels.count(c), percents)
+        assert got == largest_remainder_oracle(labels.count(c))
 
 
 def test_subset_rejects_boolean_mask():
@@ -376,13 +378,6 @@ def test_split_deterministic():
     for x, y in zip(a, b):
         npt.assert_array_equal(x.features, y.features)
         npt.assert_array_equal(x.labels, y.labels)
-
-
-def test_split_spec_validation():
-    with pytest.raises(ValueError, match="sum"):
-        SplitSpec(0.8, 0.1, 0.2)
-    with pytest.raises(ValueError, match="positive"):
-        SplitSpec(0.9, 0.1, 0.0)  # zero fraction rejected before sum check
 
 
 def test_synthesize_counts_and_finiteness():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jocot.selection import (
     SelectionSet,
@@ -150,25 +151,32 @@ def test_selection_set_rejects_negative_indices():
         SelectionSet((4, -1))
 
 
+def as_mask(indices, n=10):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(indices)] = True
+    return mask
+
+
 def test_inner_consensus_examples():
-    a = np.array([1, 2, 3])
-    b = np.array([2, 3, 4])
-    assert tuple(consensus((a, b))) == (2, 3)
-    assert tuple(consensus((a, a))) == (1, 2, 3)
-    assert tuple(consensus((a, np.array([7, 8])))) == ()
+    a = as_mask([1, 2, 3])
+    b = as_mask([2, 3, 4])
+    assert tuple(np.flatnonzero(consensus(a, b))) == (2, 3)
+    assert tuple(np.flatnonzero(consensus(a, a))) == (1, 2, 3)
+    assert tuple(np.flatnonzero(consensus(a, as_mask([7, 8])))) == ()
 
 
 def test_outer_consensus_composition_example():
-    p1, p2 = np.array([1, 2, 3]), np.array([2, 3])
-    q1, q2 = np.array([2, 3, 4]), np.array([2, 4])
-    assert tuple(consensus((p1, p2))) == (2, 3)
-    assert tuple(consensus((q1, q2))) == (2, 4)
-    assert tuple(consensus((p1, p2), (q1, q2))) == (2,)
+    p1, p2 = as_mask([1, 2, 3]), as_mask([2, 3])
+    q1, q2 = as_mask([2, 3, 4]), as_mask([2, 4])
+    i_p, i_q = consensus(p1, p2), consensus(q1, q2)
+    assert tuple(np.flatnonzero(i_p)) == (2, 3)
+    assert tuple(np.flatnonzero(i_q)) == (2, 4)
+    assert tuple(np.flatnonzero(consensus(i_p, i_q))) == (2,)
 
 
 def test_outer_consensus_all_equal():
-    s = np.array([5, 6])
-    assert tuple(consensus((s, s), (s, s))) == (5, 6)
+    s = as_mask([5, 6])
+    assert tuple(np.flatnonzero(consensus(consensus(s, s), consensus(s, s)))) == (5, 6)
 
 
 _index_sets = st.lists(st.integers(0, 60), max_size=30, unique=True)
@@ -176,9 +184,31 @@ _index_sets = st.lists(st.integers(0, 60), max_size=30, unique=True)
 
 @given(_index_sets, _index_sets, _index_sets, _index_sets)
 def test_consensus_equals_four_way_intersection_random(a, b, c, d):
-    arrays = [np.array(s, dtype=np.intp) for s in (a, b, c, d)]
-    composed = consensus((arrays[0], arrays[1]), (arrays[2], arrays[3])).tolist()
-    assert composed == sorted(set(a) & set(b) & set(c) & set(d))
+    masks = [as_mask(s, 61) for s in (a, b, c, d)]
+    composed = consensus(consensus(masks[0], masks[1]), consensus(masks[2], masks[3]))
+    assert np.flatnonzero(composed).tolist() == sorted(set(a) & set(b) & set(c) & set(d))
+
+
+@given(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8).flatmap(
+    lambda shape: st.lists(hnp.arrays(bool, shape), min_size=1, max_size=4)))
+def test_consensus_is_the_set_intersection_of_its_masks(masks):
+    got = consensus(*masks)
+    assert got.dtype == bool and got.shape == masks[0].shape
+    assert not any(np.shares_memory(got, m) for m in masks)
+    picked = [set(np.flatnonzero(m).tolist()) for m in masks]
+    assert set(np.flatnonzero(got).tolist()) == set.intersection(*picked)
+
+
+@pytest.mark.parametrize("masks", [
+    (),
+    (np.array([0, 1, 1]),),
+    (np.array([True, False]), np.array([0.0, 1.0])),
+    (np.array([True, False]), np.array([True, False, True])),
+    (np.array([True, False]), np.array([[True, False]])),
+], ids=["none", "int", "float", "length", "ndim"])
+def test_consensus_rejects_a_mask_that_is_not_bool_or_not_of_one_shape(masks):
+    with pytest.raises(ValueError, match="mask"):
+        consensus(*masks)
 
 
 # property tests: the oracle is a plain sort of (loss, position) pairs
