@@ -27,7 +27,7 @@ def main() -> None:
         matrix = build_noise_matrix(kind, args.rate, args.classes)
         print(f"\n{kind} matrix at rate {args.rate} (first 3 rows):")
         with np.printoptions(precision=3, suppress=True):
-            print(matrix.rows[:3])
+            print(matrix[:3])
         mask = inject_noise(labels, matrix, args.seed)
         print(f"flipped {mask.num_flipped}/{labels.size} "
               f"({mask.flipped_fraction:.4f} realized vs {args.rate} nominal)")

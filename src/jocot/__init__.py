@@ -13,6 +13,7 @@ from .data import (
     LabeledDataset,
     SplitSpec,
     Standardizer,
+    SyntheticSpec,
     load_csv,
     rebalance,
     save_csv,
@@ -23,7 +24,6 @@ from .experiment import (
     CellResult,
     ExperimentConfig,
     ExperimentResult,
-    SyntheticSpec,
     emit_metrics,
     load_config,
     load_result,
@@ -51,7 +51,6 @@ from .network import (
 )
 from .noise import (
     NoiseMask,
-    NoiseMatrix,
     build_noise_matrix,
     inject_noise,
     noisy_label_precision,

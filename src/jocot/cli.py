@@ -7,13 +7,12 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .data import save_csv, synthesize
+from .data import SyntheticSpec, save_csv, synthesize
 from .experiment import (
     CONFIG_KEYS,
     METHODS,
     NOISE_KINDS,
     ExperimentResult,
-    SyntheticSpec,
     emit_metrics,
     load_config,
     load_result,
@@ -61,13 +60,12 @@ _SYNTH_FLAGS = {"num_classes": "--classes", "per_class": "--per-class", "dim": "
 
 def _cmd_synth(args) -> int:
     try:
-        spec = SyntheticSpec(**{name: getattr(args, name) for name in _SYNTH_FLAGS})
+        dataset = synthesize(**{name: getattr(args, name) for name in _SYNTH_FLAGS})
     except FieldError as exc:
         raise ValueError(f"{_SYNTH_FLAGS[exc.field]} {exc.problem}") from None
-    dataset = synthesize(spec.num_classes, spec.per_class, spec.dim, spec.separation, spec.seed)
     save_csv(dataset, args.out)
-    print(f"wrote {len(dataset)} samples ({spec.num_classes} classes, "
-          f"dim {spec.dim}) to {args.out}")
+    print(f"wrote {len(dataset)} samples ({dataset.num_classes} classes, "
+          f"dim {dataset.feature_dim}) to {args.out}")
     return 0
 
 

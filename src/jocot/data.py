@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import re
 import shutil
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jobs
+from .network import FieldError, _check_fields
 
 CANONICAL_FEATURES = 51
 
@@ -350,19 +352,33 @@ def split(dataset: LabeledDataset, spec: SplitSpec):
     return tuple(dataset.subset(p) for p in picks)
 
 
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Parameters of the built-in Gaussian-cluster dataset."""
+
+    num_classes: int = 12
+    per_class: int = 600
+    dim: int = CANONICAL_FEATURES
+    separation: float = 3.0
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_fields(self, num_classes=2, per_class=1, dim=2, seed=0)
+        if not self.separation > 0:
+            raise FieldError("separation", f"must be > 0, got {self.separation!r}")
+        if self.separation == math.inf:
+            raise FieldError("separation", f"must be finite, got {self.separation!r}")
+
+
 def synthesize(num_classes: int, per_class: int, dim: int = CANONICAL_FEATURES,
-               separation: float = 3.0, seed=0) -> LabeledDataset:
+               separation: float = 3.0, seed: int = 0) -> LabeledDataset:
     """Isotropic unit-variance Gaussian clusters around random centers.
 
     Each class center is a seeded random direction scaled to norm
-    ``separation``; larger separation means easier classes.
+    ``separation``; larger separation means easier classes. The arguments
+    are checked as the SyntheticSpec fields of their names (FieldError).
     """
-    if num_classes < 2 or dim < 2:
-        raise ValueError("need num_classes >= 2 and dim >= 2")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    SyntheticSpec(num_classes, per_class, dim, separation, seed)
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(num_classes, dim))
     centers = directions / np.linalg.norm(directions, axis=1, keepdims=True) * separation

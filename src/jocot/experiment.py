@@ -24,6 +24,7 @@ from .data import (
     LabeledDataset,
     SplitSpec,
     Standardizer,
+    SyntheticSpec,
     load_csv,
     rebalance,
     split,
@@ -41,22 +42,6 @@ from .training import (
 
 # spawn key prefix separating noise-injection streams from training streams
 _NOISE_SPAWN_PREFIX = 1000
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Parameters of the built-in Gaussian-cluster dataset."""
-
-    num_classes: int = 12
-    per_class: int = 600
-    dim: int = 51
-    separation: float = 3.0
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_fields(self, num_classes=2, per_class=1, dim=2, seed=0)
-        if not self.separation > 0:
-            raise FieldError("separation", f"must be > 0, got {self.separation!r}")
 
 
 @dataclass
@@ -103,10 +88,7 @@ class ExperimentConfig:
         TrainConfig(**self.train_overrides)
 
     def train_config(self, rate: float, seed: int) -> TrainConfig:
-        kwargs = dict(self.train_overrides)
-        kwargs["noise_rate_tau"] = rate
-        kwargs["seed"] = seed
-        return TrainConfig(**kwargs)
+        return TrainConfig(**self.train_overrides, noise_rate_tau=rate, seed=seed)
 
     def to_dict(self) -> dict:
         # normalized to JSON-native types, a numpy scalar to its Python value, so
@@ -252,8 +234,7 @@ def _prepare_splits(config: ExperimentConfig):
     if config.csv_path is not None:
         dataset = load_csv(config.csv_path)
     else:
-        s = config.synthetic
-        dataset = synthesize(s.num_classes, s.per_class, s.dim, s.separation, s.seed)
+        dataset = synthesize(**asdict(config.synthetic))
     if config.rebalance_per_class is not None:
         dataset = rebalance(dataset, config.rebalance_per_class, config.split_seed)
     # no noise matrix flips labels among fewer than two classes

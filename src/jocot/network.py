@@ -115,6 +115,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self, batch_size=1, total_epochs=1, num_gradual_T=1, seed=0, hidden_dims=1)
+        if not 0 < self.base_lr < math.inf:
+            raise FieldError("base_lr", f"must be finite and > 0, got {self.base_lr!r}")
         if not 0 < self.decay_start_epoch < self.total_epochs:
             raise FieldError("decay_start_epoch", "must lie strictly between 0 and total_epochs")
         if not 0.05 <= self.lambda_weight <= 0.95:

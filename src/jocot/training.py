@@ -165,16 +165,17 @@ def make_batches(n_samples: int, batch_size: int, rng: np.random.Generator) -> L
     return [perm[i:i + batch_size] for i in range(0, n_samples, batch_size)]
 
 
-def evaluate(params: ModelParams, dataset: LabeledDataset) -> float:
+def evaluate(params: ModelParams, dataset: LabeledDataset) -> float | List[float]:
     """Fraction of samples whose argmax class (ties to the smallest index)
-    equals the label. The forward pass runs on a float64 copy of a float32
-    network, so two classes whose float32 probabilities round to a tie are
-    still told apart."""
+    equals the label: a float for one network, a list of one per peer for
+    a (2, P) block, each equal to that peer's own. The forward pass runs on
+    a float64 copy of a float32 network, so two classes whose float32
+    probabilities round to a tie are still told apart."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     params = ModelParams.from_flat(params.layer_dims, params.flat.astype(np.float64, copy=False))
-    preds = forward(params, dataset.features).argmax(axis=1)
-    return float((preds == dataset.labels).mean())
+    preds = forward(params, dataset.features).argmax(axis=-1)
+    return (preds == dataset.labels).mean(axis=-1).tolist()
 
 
 def _check_finite(losses: np.ndarray) -> None:
@@ -286,10 +287,7 @@ def _pair_epochs(config: TrainConfig, noisy_train: LabeledDataset, module_kind: 
         for picks in state.epoch_selections:
             picked[[[0], [1]], picks] = True
         inner = consensus(*picked)
-        accuracies = None
-        if test_set is not None:
-            accuracies = [evaluate(ModelParams.from_flat(dims, peer), test_set)
-                          for peer in state.params.flat]
+        accuracies = None if test_set is None else evaluate(state.params, test_set)
         epochs.append((inner, accuracies, state.mean_selected_loss))
     return state, epochs
 

@@ -125,12 +125,12 @@ def test_02_noise_matrix_suite():
             for rate in (0.1, 0.2, 0.4, 0.45, 0.8):
                 matrix = build_noise_matrix(kind, rate, m)
                 worst_row = max(worst_row,
-                                float(np.abs(matrix.rows.sum(axis=1) - 1.0).max()))
+                                float(np.abs(matrix.sum(axis=1) - 1.0).max()))
     structure_ok = True
     for m in (2, 3, 12):
         for rate in (0.2, 0.3):
             expected = np.eye(m) * (1.0 - rate) + np.roll(np.eye(m), 1, axis=1) * rate
-            got = build_noise_matrix("pairflip", rate, m).rows
+            got = build_noise_matrix("pairflip", rate, m)
             structure_ok = structure_ok and np.array_equal(got, expected)
     labels = np.repeat(np.arange(12), 960)
     assert labels.shape[0] == 11_520

@@ -64,8 +64,9 @@ def test_synth_writes_loadable_csv(tmp_path, capsys):
     ("--per-class", "0", "--per-class must be >= 1, got 0"),
     ("--dim", "1", "--dim must be >= 2, got 1"),
     ("--separation", "0", "--separation must be > 0, got 0.0"),
+    ("--separation", "inf", "--separation must be finite, got inf"),
     ("--seed", "-1", "--seed must be >= 0, got -1"),
-], ids=["classes", "per_class", "dim", "separation", "seed"])
+], ids=["classes", "per_class", "dim", "separation", "separation_inf", "seed"])
 def test_synth_names_the_flag_of_a_bad_value(tmp_path, capsys, flag, value, words):
     # synth used to pass its flags straight to synthesize, whose errors name no flag
     out = tmp_path / "data.csv"
@@ -108,10 +109,12 @@ def test_run_rejects_train_seed(tmp_path, capsys):
     ("separation = 3.0", "separation = 3.0\ndata_seed = 1.5", "data_seed", []),
     ("", "", "seeds", ["--seeds", "1.5"]),
     ("", "", "rates", ["--rates", "0.2,abc"]),
+    ("hidden_dims = 8", "hidden_dims = 8\nbase_lr = nan", "[train] 'base_lr'", []),
+    ("hidden_dims = 8", "hidden_dims = 8\nbase_lr = -0.5", "[train] 'base_lr'", []),
 ], ids=["seeds", "standardize", "hidden_dims", "per_class", "split_seed",
         "split_seed_negative", "rebalance_zero", "data_seed_negative",
         "seeds_duplicate", "rates_empty", "rates_bool", "rates_text", "data_seed_float",
-        "seeds_flag", "rates_flag"])
+        "seeds_flag", "rates_flag", "base_lr_nan", "base_lr_negative"])
 def test_run_rejects_values_it_would_coerce(tmp_path, capsys, old, new, key, flags):
     # a flag gets the checks of the [experiment] key it replaces
     path = write_config(tmp_path)
@@ -360,6 +363,7 @@ def test_run_bad_config_exit_two(tmp_path, capsys):
     ("dim = 4", "dim = 0", [], "[data] 'dim' must be >= 2, got 0"),
     ("separation = 3.0", "separation = -1.0", [],
      "[data] 'separation' must be > 0, got -1.0"),
+    ("separation = 3.0", "separation = inf", [], "[data] 'separation' must be finite, got inf"),
     ("per_class = 30", "per_class = 4", [], "no sample in the val split: the data splits "
                                             "into 9 train, 3 test and 0 val samples"),
     ("per_class = 30", "per_class = 1", [], "no sample in the test or val split: the data "
@@ -368,7 +372,8 @@ def test_run_bad_config_exit_two(tmp_path, capsys):
     ("", "", ["--seeds", "-1"], "--seeds must be >= 0, got (-1,)"),
     ("classes = 3\nper_class = 30\ndim = 4\nseparation = 3.0", "csv = {one_class_csv}", [],
      "need at least 2 classes for label noise, got 1"),
-], ids=["classes", "per_class", "dim", "separation", "empty_val", "empty_test",
+], ids=["classes", "per_class", "dim", "separation", "separation_inf", "empty_val",
+        "empty_test",
         "negative_seed", "negative_seed_flag", "one_class"])
 def test_run_refuses_data_that_cannot_serve_every_cell(tmp_path, capsys, monkeypatch,
                                                        old, new, flags, words):

@@ -1003,3 +1003,17 @@ def test_evaluate_splits_classes_whose_float32_logits_tie():
     logits = acts[-2] @ params.weights[-1] + params.biases[-1]
     assert logits.dtype == np.float32 and (logits[:, 0] == logits[:, 1]).sum() > 100
     assert evaluate(params, ds) == float64_logit_accuracy(params, ds) == 1.0
+
+
+@pytest.mark.parametrize("seed", [44, 45, 46])
+def test_evaluate_a_stacked_pair_as_each_peer_alone(seed):
+    # _pair_epochs scores a pair's (2, P) block in one call; each accuracy
+    # must be the one its peer gets alone, at the acceptance network's shape
+    rng = np.random.default_rng(seed)
+    dims = [51, 256, 128, 12]
+    peers = [init_params(dims, rng, np.float32).flat for _ in range(2)]
+    stacked = ModelParams.from_flat(dims, np.stack(peers))
+    ds = LabeledDataset(rng.normal(size=(720, 51)), rng.integers(0, 12, 720), 12)
+    alone = [evaluate(ModelParams.from_flat(dims, peer), ds) for peer in peers]
+    assert evaluate(stacked, ds) == alone
+    assert all(type(acc) is float for acc in alone)
